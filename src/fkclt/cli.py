@@ -17,6 +17,7 @@ import argparse
 import json
 import math
 import os
+import secrets
 import sys
 from dataclasses import dataclass
 from typing import Optional
@@ -26,7 +27,7 @@ import numpy as np
 from . import models as app_models
 from . import oracle, randenv
 from .core import FKError, InvalidModel, KernelChoice, Potential, ProbMeasure, StochasticKernel
-from .core import homogeneous_model
+from .core import homogeneous_model, total_variation
 from .engine import derive_seed, run
 from .harness import (
     CltReport,
@@ -106,12 +107,20 @@ def _dump_json(obj) -> str:
 
 
 def _write_atomic(path: str, text: str) -> None:
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(text)
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp, path)
+    """Write to a temp file beside ``path``, then rename it over ``path``.  The
+    temp name is unique and created exclusively, and mode 0o666 lets the umask
+    set the permissions as a plain ``open`` would."""
+    tmp = f"{path}.{secrets.token_hex(8)}.tmp"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with open(fd, "w", encoding="ascii", newline="\n") as fh:
+            fh.write(text)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _emit(text: str, path: Optional[str]) -> None:
@@ -308,7 +317,8 @@ def parse_config(argv) -> CliConfig:
         _require_range(cfg.n >= minimum, f"--n must be >= {minimum}, got {cfg.n}")
     if hasattr(args, "reps"):
         cfg.reps = args.reps
-        _require_range(cfg.reps >= 2, f"--reps must be >= 2, got {cfg.reps}")
+        minimum = 100 if args.subcommand == "qsd" else 2
+        _require_range(cfg.reps >= minimum, f"--reps must be >= {minimum}, got {cfg.reps}")
     if hasattr(args, "depth") and args.depth is not None:
         cfg.depth = args.depth
         _require_range(cfg.depth >= 1, f"--depth must be >= 1, got {cfg.depth}")
@@ -341,6 +351,14 @@ def _csv_lines(header: str, rows) -> str:
     return "\n".join([header, *rows]) + "\n"
 
 
+def _env_path_model(cfg: CliConfig):
+    """The configured environment chain along a path from the path lane."""
+    path = randenv.sample_env_path(
+        cfg.model, past=0, horizon=cfg.n + 1, seed=derive_seed(cfg.seed, _LANE_PATH)
+    )
+    return randenv.env_model(cfg.model, path, eta0=cfg.eta0)
+
+
 def _materialize(cfg: CliConfig) -> tuple:
     """Resolve the configured model into (FKModel, v_n target, sigma2 or None)."""
     if cfg.model_kind == "homogeneous":
@@ -350,13 +368,9 @@ def _materialize(cfg: CliConfig) -> tuple:
         return model, target, sigma2
     # Environment model: one path for the particle runs, an independent
     # stream for the ergodic variance average.
-    chain = cfg.model
-    path = randenv.sample_env_path(
-        chain, past=0, horizon=cfg.n + 1, seed=derive_seed(cfg.seed, _LANE_PATH)
-    )
-    model = randenv.env_model(chain, path, eta0=cfg.eta0)
+    model = _env_path_model(cfg)
     sigma2, _ = randenv.sigma2_env(
-        chain, cfg.kernel, cfg.horizon, cfg.depth, seed=derive_seed(cfg.seed, _LANE_SIGMA)
+        cfg.model, cfg.kernel, cfg.horizon, cfg.depth, seed=derive_seed(cfg.seed, _LANE_SIGMA)
     )
     return model, cfg.n * sigma2, sigma2
 
@@ -368,13 +382,7 @@ def cmd_oracle(cfg: CliConfig) -> int:
 
 
 def cmd_run(cfg: CliConfig) -> int:
-    if cfg.model_kind == "environment":
-        path = randenv.sample_env_path(
-            cfg.model, past=0, horizon=cfg.n + 1, seed=derive_seed(cfg.seed, _LANE_PATH)
-        )
-        model = randenv.env_model(cfg.model, path, eta0=cfg.eta0)
-    else:
-        model = cfg.model
+    model = _env_path_model(cfg) if cfg.model_kind == "environment" else cfg.model
     exact = oracle.propagate(model, cfg.n).log_gammas[-1]
     record = run(model, cfg.N, cfg.n, cfg.kernel, cfg.seed, oracle_log_gamma=exact, replicate_id=0)
     header = "replicate_id,seed,n,N,kernel,log_gamma_N,log_gamma_bar"
@@ -472,26 +480,19 @@ def cmd_qsd(cfg: CliConfig) -> int:
     model = cfg.model
     step = model.step(0)
     try:
-        app_models.AbsorptionModel(step.M, step.G, model.eta0)
+        absorption = app_models.AbsorptionModel(step.M, step.G, model.eta0)
     except InvalidModel as exc:
         raise CliError(EXIT_MODEL, str(exc)) from exc
     sol = oracle.propagate(model, cfg.n)
     eta_inf = oracle.fixed_point_eta_inf(model)
-    # One simulation sweep records the surviving fraction at every horizon.
-    gen = np.random.Generator(np.random.PCG64(derive_seed(cfg.seed, _LANE_OBS)))
-    trials = cfg.reps
-    cum0 = np.cumsum(model.eta0.weights)
-    states = np.minimum(np.searchsorted(cum0, gen.random(trials), side="left"), model.d - 1)
-    cum_rows = np.cumsum(step.M.rows, axis=1)
-    alive = np.ones(trials, dtype=bool)
+    survival = app_models.survival_mc_table(
+        absorption, cfg.n, cfg.reps, derive_seed(cfg.seed, _LANE_OBS)
+    )
     rows = []
     for horizon in range(1, cfg.n + 1):
-        alive &= gen.random(trials) < step.G.values[states]
-        moves = gen.random(trials)
-        states = np.minimum((cum_rows[states] < moves[:, None]).sum(axis=1), model.d - 1)
-        estimate = float(alive.mean())
-        std_error = math.sqrt(estimate * (1.0 - estimate) / trials)
-        tv = 0.5 * float(np.abs(sol.etas[horizon].weights - eta_inf.weights).sum())
+        estimate = float(survival[horizon])
+        std_error = math.sqrt(estimate * (1.0 - estimate) / cfg.reps)
+        tv = total_variation(sol.etas[horizon], eta_inf)
         rows.append(
             ",".join(
                 [

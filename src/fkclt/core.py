@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -375,6 +375,31 @@ def _bg_raw(mu_w: np.ndarray, g_v: np.ndarray) -> np.ndarray:
 
 def _phi_raw(mu_w: np.ndarray, g_v: np.ndarray, m_r: np.ndarray) -> np.ndarray:
     return _bg_raw(mu_w, g_v) @ m_r
+
+
+def _categorical(
+    cumulative: np.ndarray, u: np.ndarray, rows: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """Inverse-CDF draws min{x : F(x) >= u}, clipped to d-1 against a last
+    cumulative that rounds below 1.  ``cumulative`` is one CDF (d,) shared by
+    all draws, or a table (k, d) whose row ``rows[i]`` serves draw ``i``."""
+    if rows is None:
+        idx = np.searchsorted(cumulative, u, side="left")
+    else:
+        idx = (cumulative[rows] < u[:, None]).sum(axis=1)
+    np.minimum(idx, cumulative.shape[-1] - 1, out=idx)
+    return idx
+
+
+def _chain_path(cum0: np.ndarray, cum_rows: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Markov chain states, one per uniform: the first drawn from the CDF
+    ``cum0``, each later one from the CDF row of its predecessor."""
+    states = np.empty(u.size, dtype=np.int64)
+    cdf = cum0
+    for i in range(u.size):
+        states[i] = _categorical(cdf, u[i : i + 1])[0]
+        cdf = cum_rows[states[i]]
+    return states
 
 
 def _kernel_rows_raw(

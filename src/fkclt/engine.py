@@ -2,15 +2,15 @@
 
 Each particle moves independently, conditionally on the previous
 generation, by a draw from its own kernel row evaluated at the current
-empirical measure.  Categorical draws use inverse-CDF lookup on a
-cumulative-weights array with one uniform per draw; the empirical measure
-is recomputed from state counts at every step.
+empirical measure.  Categorical draws go through ``core._categorical``
+with one uniform per draw; the empirical measure is recomputed from state
+counts at every step.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -22,6 +22,7 @@ from .core import (
     InvalidModel,
     KernelChoice,
     ProbMeasure,
+    _categorical,
     _kernel_rows_raw,
     _phi_raw,
     as_values,
@@ -62,12 +63,6 @@ class RngStream:
     def uniforms(self, k: int) -> np.ndarray:
         self.position += k
         return self._gen.random(k)
-
-
-def _inverse_cdf(cumulative: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
-    """min{x : F(x) >= u} per uniform, clipped against top-end roundoff."""
-    idx = np.searchsorted(cumulative, uniforms, side="left")
-    return np.minimum(idx, cumulative.size - 1).astype(np.int64)
 
 
 @dataclass
@@ -125,8 +120,7 @@ def init_particles(model: FKModel, N: int, seed: int) -> ParticleSystem:
     if N < 1:
         raise ValueError(f"particle count must be >= 1, got {N}")
     stream = RngStream(seed)
-    cumulative = np.cumsum(model.eta0.weights)
-    states = _inverse_cdf(cumulative, stream.uniforms(N))
+    states = _categorical(np.cumsum(model.eta0.weights), stream.uniforms(N))
     return ParticleSystem(states, 0, stream, model.d)
 
 
@@ -145,12 +139,9 @@ def step(system: ParticleSystem, model: FKModel, choice: KernelChoice) -> Partic
     rows = _kernel_rows_raw(choice, mu_w, fkstep.G.values, fkstep.M.rows)
     u = system.stream.uniforms(system.N)
     if choice is KernelChoice.MULTINOMIAL:
-        states = _inverse_cdf(np.cumsum(rows[0]), u)
+        states = _categorical(np.cumsum(rows[0]), u)
     else:
-        particle_rows = rows[system.states]
-        cumulative = np.cumsum(particle_rows, axis=1)
-        idx = (cumulative < u[:, None]).sum(axis=1)
-        states = np.minimum(idx, system.d - 1).astype(np.int64)
+        states = _categorical(np.cumsum(rows, axis=1), u, system.states)
     return ParticleSystem(states, system.step + 1, system.stream, system.d)
 
 
@@ -233,7 +224,3 @@ def global_error_field(system: ParticleSystem, exact_eta: ProbMeasure, f: ArrayL
         raise DimensionMismatch("function, measure and system dimensions differ")
     observed = float(np.mean(values[system.states]))
     return math.sqrt(system.N) * (observed - exact_eta.mean(values))
-
-
-def with_replicate_id(record: RunRecord, replicate_id: int) -> RunRecord:
-    return replace(record, replicate_id=replicate_id)

@@ -21,6 +21,8 @@ from .core import (
     Potential,
     ProbMeasure,
     StochasticKernel,
+    _categorical,
+    _chain_path,
     homogeneous_model,
     explicit_model,
     total_variation,
@@ -56,33 +58,30 @@ def absorption_build(M: StochasticKernel, G: Potential, eta0: ProbMeasure) -> FK
     return AbsorptionModel(M, G, eta0).to_fk()
 
 
-def survival_mc_oracle(
-    model: AbsorptionModel, n: int, trials: int, seed: int
-) -> tuple:
-    """Brute-force survival probability P(T >= n) by direct simulation.
-
-    Simulates the killed chain itself (survive each step with probability
-    G at the current site, then move); shares nothing with the semigroup
-    code paths.  Returns ``(estimate, binomial standard error)``.
-    """
+def survival_mc_table(model: AbsorptionModel, n: int, trials: int, seed: int) -> np.ndarray:
+    """Surviving fraction of ``trials`` killed chains at horizons 0..n, an
+    estimate of P(T >= k) at entry k that shares nothing with the semigroup
+    code: each chain survives a step with probability G(x), then moves."""
     if trials < 100:
         raise ValueError(f"need at least 100 trials, got {trials}")
     if n < 0:
         raise ValueError(f"step count must be >= 0, got {n}")
     gen = np.random.Generator(np.random.PCG64(int(seed) & 0xFFFFFFFFFFFFFFFF))
-    cum0 = np.cumsum(model.eta0.weights)
-    states = np.minimum(
-        np.searchsorted(cum0, gen.random(trials), side="left"), model.M.d - 1
-    )
+    states = _categorical(np.cumsum(model.eta0.weights), gen.random(trials))
     cum_rows = np.cumsum(model.M.rows, axis=1)
     alive = np.ones(trials, dtype=bool)
-    for _ in range(n):
+    fractions = np.ones(n + 1)
+    for horizon in range(1, n + 1):
         alive &= gen.random(trials) < model.G.values[states]
-        moves = gen.random(trials)
-        states = np.minimum(
-            (cum_rows[states] < moves[:, None]).sum(axis=1), model.M.d - 1
-        )
-    estimate = float(alive.mean())
+        states = _categorical(cum_rows, gen.random(trials), states)
+        fractions[horizon] = alive.mean()
+    return fractions
+
+
+def survival_mc_oracle(model: AbsorptionModel, n: int, trials: int, seed: int) -> tuple:
+    """Brute-force P(T >= n), the last entry of ``survival_mc_table``, with
+    its binomial standard error."""
+    estimate = float(survival_mc_table(model, n, trials, seed)[n])
     std_error = math.sqrt(estimate * (1.0 - estimate) / trials)
     return estimate, std_error
 
@@ -131,26 +130,18 @@ class HmmParams:
 
 
 def hmm_generate(params: HmmParams, length: int, seed: int) -> tuple:
-    """Sample (hidden states, observations) forward; deterministic given seed."""
+    """Sample (hidden states, observations) forward; deterministic given seed.
+    Uniforms go to the initial state, then alternate emission and move."""
     if length < 0:
         raise ValueError(f"length must be >= 0, got {length}")
     gen = np.random.Generator(np.random.PCG64(int(seed) & 0xFFFFFFFFFFFFFFFF))
-    hidden = np.empty(length, dtype=np.int64)
-    observed = np.empty(length, dtype=np.int64)
-    cum_init = np.cumsum(params.initial.weights)
-    cum_trans = np.cumsum(params.transition.rows, axis=1)
-    cum_emit = np.cumsum(params.emission, axis=1)
-    x = min(int(np.searchsorted(cum_init, gen.random(), side="left")), params.hidden_count - 1)
-    for t in range(length):
-        hidden[t] = x
-        observed[t] = min(
-            int(np.searchsorted(cum_emit[x], gen.random(), side="left")),
-            params.symbol_count - 1,
-        )
-        x = min(
-            int(np.searchsorted(cum_trans[x], gen.random(), side="left")),
-            params.hidden_count - 1,
-        )
+    u = gen.random(2 * length + 1)
+    hidden = _chain_path(
+        np.cumsum(params.initial.weights),
+        np.cumsum(params.transition.rows, axis=1),
+        u[0 : 2 * length : 2],
+    )
+    observed = _categorical(np.cumsum(params.emission, axis=1), u[1::2], hidden)
     return hidden, observed
 
 
@@ -188,12 +179,9 @@ def hmm_build(params: HmmParams, observations: Sequence[int]) -> FKModel:
     return explicit_model(steps, params.initial)
 
 
-def forward_likelihood(params: HmmParams, observations: Sequence[int]) -> float:
-    """Log marginal likelihood by the classical scaled forward recursion.
-
-    Independent of the measure-flow code on purpose: plain array updates of
-    the joint filter with per-step renormalization.
-    """
+def _forward(params: HmmParams, observations: Sequence[int]) -> tuple:
+    """(log marginal likelihood, predictive filter weights) by the classical
+    scaled forward recursion, independent of the measure-flow code on purpose."""
     obs = _check_symbols(params, observations)
     alpha = params.initial.weights.copy()
     total = 0.0
@@ -204,21 +192,18 @@ def forward_likelihood(params: HmmParams, observations: Sequence[int]) -> float:
             raise InvalidModel(f"observation sequence has zero probability at position {t}")
         total += math.log(c)
         alpha = (alpha / c) @ params.transition.rows
-    return total
+    return total, alpha
+
+
+def forward_likelihood(params: HmmParams, observations: Sequence[int]) -> float:
+    """Log marginal likelihood by the scaled forward recursion."""
+    return _forward(params, observations)[0]
 
 
 def hmm_filter(params: HmmParams, observations: Sequence[int]) -> ProbMeasure:
     """Predictive filter law of the hidden state after the observations,
-    by the same independent forward recursion."""
-    obs = _check_symbols(params, observations)
-    alpha = params.initial.weights.copy()
-    for t, y in enumerate(obs):
-        alpha = alpha * params.emission[:, y]
-        c = float(alpha.sum())
-        if c <= 0.0:
-            raise InvalidModel(f"observation sequence has zero probability at position {t}")
-        alpha = (alpha / c) @ params.transition.rows
-    return ProbMeasure(alpha)
+    by the same forward recursion."""
+    return ProbMeasure(_forward(params, observations)[1])
 
 
 def hmm_env_chain(params: HmmParams) -> EnvironmentChain:

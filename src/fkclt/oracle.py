@@ -10,7 +10,7 @@ reported ratios.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -323,9 +323,7 @@ def eigen_h_zeta(model: FKModel) -> SpectralPair:
 
 def sigma2_homogeneous(model: FKModel, choice: KernelChoice) -> float:
     """Limiting per-step variance rate of the log normalizing-constant error."""
-    pair = eigen_h_zeta(model)
-    step = model.step(0)
-    return cov_operator(choice, pair.eta_inf, step.G, step.M, pair.h, pair.h)
+    return spectral_pair(model, choice).sigma2
 
 
 def spectral_pair(model: FKModel, choice: KernelChoice) -> SpectralPair:
@@ -333,13 +331,7 @@ def spectral_pair(model: FKModel, choice: KernelChoice) -> SpectralPair:
     pair = eigen_h_zeta(model)
     step = model.step(0)
     sigma2 = cov_operator(choice, pair.eta_inf, step.G, step.M, pair.h, pair.h)
-    return SpectralPair(
-        zeta=pair.zeta,
-        h=pair.h,
-        eta_inf=pair.eta_inf,
-        sigma2=sigma2,
-        kernel_choice=choice,
-    )
+    return replace(pair, sigma2=sigma2, kernel_choice=choice)
 
 
 def default_series_depth(lambda_hat: float) -> int:
@@ -349,6 +341,24 @@ def default_series_depth(lambda_hat: float) -> int:
     if math.isinf(lambda_hat):
         return 1
     return max(1, math.ceil(SERIES_TAIL_TARGET / lambda_hat))
+
+
+def _log_series(base_w: np.ndarray, potentials: Sequence, kernels: Sequence) -> np.ndarray:
+    """exp of the log series of the limiting normalized-semigroup function:
+    term ``q`` compares the lag-``q`` potential means of the flows started at
+    each point mass and at ``base_w``.  ``kernels[q]`` moves lag ``q`` to lag
+    ``q + 1``, so there is one kernel fewer than potentials."""
+    d = base_w.size
+    # Rows 0..d-1 carry the flow of each point mass, row d the flow of base_w.
+    stack = np.vstack([np.eye(d), base_w])
+    logs = np.zeros(d)
+    for q, g in enumerate(potentials):
+        if q:
+            stack = (weighted / denoms[:, None]) @ kernels[q - 1]
+        weighted = stack * g[None, :]
+        denoms = weighted.sum(axis=1)
+        logs += np.log(denoms[:d]) - math.log(denoms[d])
+    return np.exp(logs)
 
 
 def qbar_p_inf(model: FKModel, p: int, depth: Optional[int] = None) -> FunctionVector:
@@ -363,19 +373,11 @@ def qbar_p_inf(model: FKModel, p: int, depth: Optional[int] = None) -> FunctionV
         depth = default_series_depth(contraction_profile(model, 30).lambda_hat)
     if depth < 1:
         raise ValueError(f"series depth must be >= 1, got {depth}")
-    d = model.d
     eta_p = propagate(model, p).etas[p]
-    # Rows 0..d-1 carry the flow of each point mass, row d the flow of eta_p.
-    stack = np.vstack([np.eye(d), eta_p.weights])
-    logs = np.zeros(d)
-    for offset in range(depth):
-        step = model.step(p + offset)
-        weighted = stack * step.G.values[None, :]
-        denoms = weighted.sum(axis=1)
-        logs += np.log(denoms[:d]) - math.log(denoms[d])
-        if offset + 1 < depth:
-            stack = (weighted / denoms[:, None]) @ step.M.rows
-    return FunctionVector(np.exp(logs))
+    steps = [model.step(p + offset) for offset in range(depth)]
+    return FunctionVector(
+        _log_series(eta_p.weights, [s.G.values for s in steps], [s.M.rows for s in steps[:-1]])
+    )
 
 
 def oracle_report(

@@ -27,8 +27,10 @@ from .core import (
     StateSpace,
     StochasticKernel,
     cov_operator,
+    _chain_path,
     _phi_raw,
 )
+from .oracle import _log_series
 
 BATCH_COUNT = 32  # batch-means default for correlated time averages
 
@@ -126,17 +128,11 @@ def sample_env_path(chain: EnvironmentChain, past: int, horizon: int, seed: int)
     if past < 0 or horizon < 0:
         raise ValueError("past and horizon must be >= 0")
     gen = np.random.Generator(np.random.PCG64(int(seed) & 0xFFFFFFFFFFFFFFFF))
-    length = past + horizon + 1
-    states = np.empty(length, dtype=np.int64)
-    cum0 = np.cumsum(chain.stationary.weights)
-    states[0] = min(int(np.searchsorted(cum0, gen.random(), side="left")), chain.env_size - 1)
-    cum_rows = np.cumsum(chain.transition.rows, axis=1)
-    for i in range(1, length):
-        u = gen.random()
-        states[i] = min(
-            int(np.searchsorted(cum_rows[states[i - 1]], u, side="left")),
-            chain.env_size - 1,
-        )
+    states = _chain_path(
+        np.cumsum(chain.stationary.weights),
+        np.cumsum(chain.transition.rows, axis=1),
+        gen.random(past + horizon + 1),
+    )
     return EnvPath(states, -past)
 
 
@@ -190,19 +186,11 @@ def h_env(chain: EnvironmentChain, y: EnvPath, position: int, depth: int) -> Fun
     """
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
-    d = chain.state_dim
     base = eta_inf_env(chain, y, position, depth)
-    stack = np.vstack([np.eye(d), base.weights])
-    logs = np.zeros(d)
-    for offset in range(depth):
-        g = chain.potential(y.state(position + offset)).values
-        weighted = stack * g[None, :]
-        denoms = weighted.sum(axis=1)
-        logs += np.log(denoms[:d]) - math.log(denoms[d])
-        if offset + 1 < depth:
-            m = chain.kernel(y.state(position + offset + 1)).rows
-            stack = (weighted / denoms[:, None]) @ m
-    return FunctionVector(np.exp(logs))
+    states = [y.state(position + offset) for offset in range(depth)]
+    potentials = [chain.potential(s).values for s in states]
+    kernels = [chain.kernel(s).rows for s in states[1:]]
+    return FunctionVector(_log_series(base.weights, potentials, kernels))
 
 
 def c_of_y(

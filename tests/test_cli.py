@@ -1,12 +1,17 @@
 from __future__ import annotations
 
+import importlib.util
 import json
 import math
 import os
 
 import pytest
 
-from fkclt.cli import main
+import fkclt
+from fkclt import cli
+from fkclt.cli import _LANE_OBS, main
+from fkclt.engine import derive_seed
+from fkclt.models import AbsorptionModel, survival_mc_oracle
 
 
 TWO_STATE = {
@@ -205,6 +210,22 @@ class TestOtherCommands:
         row2 = lines[2].split(",")
         assert abs(float(row2[1]) - 0.488) <= 1e-12
 
+    def test_qsd_rows_are_the_survival_oracle(self, model_file, capsys, two_state):
+        cfg = model_file(TWO_STATE)
+        assert main(["qsd", "--config", cfg, "--n", "4", "--reps", "5000", "--seed", "6"]) == 0
+        rows = [line.split(",") for line in capsys.readouterr().out.strip().split("\n")[1:]]
+        step = two_state.step(0)
+        am = AbsorptionModel(step.M, step.G, two_state.eta0)
+        for n, row in enumerate(rows, start=1):
+            est, se = survival_mc_oracle(am, n, 5000, derive_seed(6, _LANE_OBS))
+            assert (row[2], row[3]) == (repr(est), repr(se))
+
+    def test_qsd_needs_100_reps_at_parse_time(self, model_file):
+        # Exit 2 even for an unkillable model: the bound is checked before
+        # the model is.
+        cfg = model_file({**TWO_STATE, "G": [0.5, 1.2]})
+        assert main(["qsd", "--config", cfg, "--n", "3", "--reps", "99"]) == 2
+
     def test_qsd_rejects_unkillable_model(self, model_file):
         cfg = model_file({**TWO_STATE, "G": [0.5, 1.2]})
         assert main(["qsd", "--config", cfg, "--n", "3", "--reps", "1000"]) == 5
@@ -263,3 +284,39 @@ def test_no_stray_temp_files(model_file, tmp_path):
     main(["oracle", "--config", cfg, "--n", "2", "--out", str(out)])
     leftovers = [p for p in os.listdir(tmp_path) if p.endswith(".tmp")]
     assert leftovers == []
+
+
+def test_failed_write_keeps_target_and_leaves_no_temp_file(tmp_path, monkeypatch):
+    target = tmp_path / "r.json"
+    target.write_text("old\n")
+
+    def failing_fsync(fd):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(cli.os, "fsync", failing_fsync)
+    with pytest.raises(OSError, match="disk full"):
+        cli._write_atomic(str(target), "new\n")
+    assert target.read_text() == "old\n"
+    assert os.listdir(tmp_path) == ["r.json"]
+
+
+def test_written_file_mode_follows_umask(tmp_path):
+    old = os.umask(0o027)
+    try:
+        cli._write_atomic(str(tmp_path / "r.json"), "x\n")
+    finally:
+        os.umask(old)
+    assert (tmp_path / "r.json").stat().st_mode & 0o777 == 0o640
+
+
+def test_benchmark_traced_names_exist():
+    # The benchmark's tracer wraps these names; a missing one breaks its
+    # traced runs.
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "tracing.py")
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    for module_name, names in tracing.TRACED.items():
+        module = getattr(fkclt, module_name)
+        for name in names:
+            assert callable(getattr(module, name, None)), f"{module_name}.{name}"

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import fkclt as fk
-from fkclt.core import DimensionMismatch, InvalidModel
+from fkclt.core import DimensionMismatch, InvalidModel, _categorical
 
 from conftest import random_model
 
@@ -257,3 +257,35 @@ class TestDobrushin:
 def test_oscillation():
     assert fk.oscillation([1.0, 4.0, -2.0]) == 6.0
     assert fk.FunctionVector([2.0, 2.0]).oscillation == 0.0
+
+
+class TestCategorical:
+    def test_uniform_on_a_step_takes_that_state(self):
+        cum = np.array([0.25, 0.5, 1.0])
+        u = np.array([0.25, 0.5, 1.0, 0.0])
+        assert _categorical(cum, u).tolist() == [0, 1, 2, 0]
+        table = np.vstack([cum, [0.5, 0.75, 1.0]])
+        rows = np.array([0, 0, 1, 1])
+        assert _categorical(table, np.array([0.25, 0.5, 0.5, 0.75]), rows).tolist() == [0, 1, 0, 1]
+
+    def test_uniform_above_a_short_last_cumulative_is_clipped(self):
+        cum = np.cumsum(np.full(10, 0.1))
+        assert cum[-1] < 1.0
+        u = np.array([np.nextafter(cum[-1], 1.0)])
+        assert _categorical(cum, u).tolist() == [9]
+        assert _categorical(np.vstack([cum, cum]), u, np.array([1])).tolist() == [9]
+
+    def test_agrees_with_searchsorted_and_compare_and_sum(self):
+        gen = np.random.default_rng(2718)
+        for d in (1, 2, 3, 8):
+            table = np.cumsum(gen.dirichlet(np.ones(d), size=d), axis=1)
+            u = gen.random(5000)
+            rows = gen.integers(0, d, size=u.size)
+            single = _categorical(table[0], u)
+            expected = np.minimum(np.searchsorted(table[0], u, side="left"), d - 1)
+            assert np.array_equal(single, expected)
+            drawn = _categorical(table, u, rows)
+            expected = np.minimum((table[rows] < u[:, None]).sum(axis=1), d - 1)
+            assert np.array_equal(drawn, expected)
+            per_row = [_categorical(table[r], u[i : i + 1])[0] for i, r in enumerate(rows)]
+            assert np.array_equal(drawn, per_row)

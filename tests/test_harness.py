@@ -54,7 +54,7 @@ class TestKsStatistic:
         assert abs(p - ref.pvalue) <= 1e-9
 
     def test_kolmogorov_series_matches_scipy(self):
-        for t in (0.3, 0.5, 1.0, 1.5, 2.5):
+        for t in (1e-4, 1e-3, 0.005, 0.01, 0.05, 0.1, 0.2, 0.3, 0.5, 1.0, 1.5, 2.5):
             assert abs(kolmogorov_p(t) - float(scipy.special.kolmogorov(t))) <= 1e-12
         assert kolmogorov_p(0.0) == 1.0
         assert kolmogorov_p(-1.0) == 1.0

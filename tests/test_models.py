@@ -104,6 +104,21 @@ class TestHmmGenerate:
         hidden, obs = fk.hmm_generate(params, 500, seed=6)
         np.testing.assert_array_equal(hidden, obs)
 
+    def test_matches_scalar_draw_loop(self, hmm_params):
+        # Reference: scalar uniforms in the order initial, then per position
+        # emission and move, each by binary search on its CDF.
+        gen = np.random.Generator(np.random.PCG64(7))
+        cum_emit = np.cumsum(hmm_params.emission, axis=1)
+        cum_trans = np.cumsum(hmm_params.transition.rows, axis=1)
+        x = int(np.searchsorted(np.cumsum(hmm_params.initial.weights), gen.random()))
+        hidden, observed = [], []
+        for _ in range(100):
+            hidden.append(x)
+            observed.append(min(int(np.searchsorted(cum_emit[x], gen.random())), 1))
+            x = min(int(np.searchsorted(cum_trans[x], gen.random())), 1)
+        h, o = fk.hmm_generate(hmm_params, 100, seed=7)
+        assert (h.tolist(), o.tolist()) == (hidden, observed)
+
     def test_deterministic(self, hmm_params):
         a = fk.hmm_generate(hmm_params, 100, seed=7)
         b = fk.hmm_generate(hmm_params, 100, seed=7)

@@ -57,6 +57,18 @@ class TestPaths:
         b = fk.sample_env_path(env_chain, past=10, horizon=50, seed=11)
         np.testing.assert_array_equal(a.states, b.states)
 
+    def test_matches_scalar_draw_loop(self, env_chain):
+        # Reference: one scalar uniform per state, binary search on its CDF.
+        gen = np.random.Generator(np.random.PCG64(11))
+        cum_rows = np.cumsum(env_chain.transition.rows, axis=1)
+        x = int(np.searchsorted(np.cumsum(env_chain.stationary.weights), gen.random()))
+        expected = [x]
+        for _ in range(60):
+            x = min(int(np.searchsorted(cum_rows[x], gen.random())), 1)
+            expected.append(x)
+        path = fk.sample_env_path(env_chain, past=10, horizon=50, seed=11)
+        assert path.states.tolist() == expected
+
     def test_window_bounds(self, env_chain):
         path = fk.sample_env_path(env_chain, past=4, horizon=6, seed=1)
         assert path.lo == -4 and path.hi == 6
