@@ -6,6 +6,11 @@ Exit codes: 0 success (all verdicts pass, or degenerate), 1 statistical
 failure, 2 usage or numeric-range error, 3 model-file schema error,
 4 missing or unreadable file, 5 invalid model values.
 
+argparse checks every option range (e.g. ``clt --reps >= 35``, ``qsd --reps
+>= 100``, ``fixed-n-clt`` and ``hmm --reps >= 2``) and exits 2 before the
+model file is read.  Each subparser names its handler and the model kinds
+it accepts.
+
 Only the requested artifact is written to stdout or the output files;
 everything else goes to stderr.  File writes are atomic (temp file plus
 rename), CSV uses '.' decimals, LF line endings and a mandatory header.
@@ -19,7 +24,6 @@ import math
 import os
 import secrets
 import sys
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -30,6 +34,7 @@ from .core import FKError, InvalidModel, KernelChoice, Potential, ProbMeasure, S
 from .core import homogeneous_model, total_variation
 from .engine import derive_seed, run
 from .harness import (
+    KS_MIN_SAMPLES,
     CltReport,
     ExperimentConfig,
     fixed_n_clt_check,
@@ -58,31 +63,6 @@ class CliError(Exception):
     def __init__(self, exit_code: int, message: str):
         super().__init__(message)
         self.exit_code = exit_code
-
-
-@dataclass
-class CliConfig:
-    """Validated invocation: subcommand plus every parsed option."""
-
-    subcommand: str
-    model_kind: Optional[str] = None
-    model: Optional[object] = None  # FKModel, HmmParams or EnvironmentChain
-    eta0: Optional[ProbMeasure] = None
-    n: Optional[int] = None
-    N: Optional[int] = None
-    N_list: Optional[tuple] = None
-    reps: Optional[int] = None
-    seed: int = 0
-    kernel: KernelChoice = KernelChoice.MULTINOMIAL
-    depth: Optional[int] = None
-    horizon: Optional[int] = None
-    out: Optional[str] = None
-    report: Optional[str] = None
-    threads: int = 1
-
-
-def _fmt_float(x) -> str:
-    return repr(float(x))
 
 
 def _json_safe(obj):
@@ -149,86 +129,78 @@ def _load_model_file(path: str) -> dict:
     return obj
 
 
-def _check_fields(obj: dict, required: tuple, optional: tuple, where: str) -> None:
-    allowed = set(required) | set(optional)
+# Required and optional fields of each model kind, besides "schema" and "kind".
+_MODEL_FIELDS = {
+    "homogeneous": (("M", "G", "eta0"), ()),
+    "hmm": (("transition", "emission", "initial"), ()),
+    "environment": (("env_transition", "env_stationary", "family"), ("eta0",)),
+}
+
+
+def _check_fields(obj, required: tuple, optional: tuple, where: str) -> None:
+    if not isinstance(obj, dict):
+        raise CliError(EXIT_SCHEMA, f"{where} must be an object")
     for key in obj:
-        if key not in allowed:
+        if key not in required + optional:
             raise CliError(EXIT_SCHEMA, f"unknown field {key!r} in {where}")
     for key in required:
         if key not in obj:
             raise CliError(EXIT_SCHEMA, f"missing field {key!r} in {where}")
-    if obj.get("schema") != SCHEMA_VERSION:
-        raise CliError(
-            EXIT_SCHEMA, f"unsupported schema version {obj.get('schema')!r} in {where}"
-        )
 
 
 def _build_model(obj: dict, path: str) -> tuple:
     """Returns (kind, model object, optional eta0)."""
     kind = obj.get("kind")
+    if not isinstance(kind, str) or kind not in _MODEL_FIELDS:
+        raise CliError(EXIT_SCHEMA, f"unknown field value kind={kind!r} in {path!r}")
+    required, optional = _MODEL_FIELDS[kind]
+    _check_fields(obj, ("schema", "kind", *required), optional, path)
+    if obj["schema"] != SCHEMA_VERSION:
+        raise CliError(EXIT_SCHEMA, f"unsupported schema version {obj['schema']!r} in {path}")
+
+    def array(key, source=obj):
+        return np.asarray(source[key], dtype=float)
+
     try:
         if kind == "homogeneous":
-            _check_fields(obj, ("schema", "kind", "M", "G", "eta0"), (), path)
             model = homogeneous_model(
-                StochasticKernel(np.asarray(obj["M"], dtype=float)),
-                Potential(np.asarray(obj["G"], dtype=float)),
-                ProbMeasure(np.asarray(obj["eta0"], dtype=float)),
+                StochasticKernel(array("M")), Potential(array("G")), ProbMeasure(array("eta0"))
             )
             return kind, model, model.eta0
         if kind == "hmm":
-            _check_fields(obj, ("schema", "kind", "transition", "emission", "initial"), (), path)
             params = app_models.HmmParams(
-                transition=StochasticKernel(np.asarray(obj["transition"], dtype=float)),
-                emission=np.asarray(obj["emission"], dtype=float),
-                initial=ProbMeasure(np.asarray(obj["initial"], dtype=float)),
+                transition=StochasticKernel(array("transition")),
+                emission=array("emission"),
+                initial=ProbMeasure(array("initial")),
             )
             return kind, params, None
-        if kind == "environment":
-            _check_fields(
-                obj,
-                ("schema", "kind", "env_transition", "env_stationary", "family"),
-                ("eta0",),
-                path,
-            )
-            family = []
-            for i, entry in enumerate(obj["family"]):
-                if not isinstance(entry, dict):
-                    raise CliError(EXIT_SCHEMA, f"family entry {i} must be an object in {path}")
-                for key in entry:
-                    if key not in ("M", "G"):
-                        raise CliError(
-                            EXIT_SCHEMA, f"unknown field {key!r} in family entry {i} of {path}"
-                        )
-                for key in ("M", "G"):
-                    if key not in entry:
-                        raise CliError(
-                            EXIT_SCHEMA, f"missing field {key!r} in family entry {i} of {path}"
-                        )
-                family.append(
-                    (
-                        StochasticKernel(np.asarray(entry["M"], dtype=float)),
-                        Potential(np.asarray(entry["G"], dtype=float)),
-                    )
-                )
-            chain = randenv.EnvironmentChain(
-                transition=StochasticKernel(np.asarray(obj["env_transition"], dtype=float)),
-                stationary=ProbMeasure(np.asarray(obj["env_stationary"], dtype=float)),
-                family=tuple(family),
-            )
-            eta0 = (
-                ProbMeasure(np.asarray(obj["eta0"], dtype=float)) if "eta0" in obj else None
-            )
-            return kind, chain, eta0
+        family = []
+        for i, entry in enumerate(obj["family"]):
+            _check_fields(entry, ("M", "G"), (), f"family entry {i} of {path}")
+            family.append((StochasticKernel(array("M", entry)), Potential(array("G", entry))))
+        chain = randenv.EnvironmentChain(
+            transition=StochasticKernel(array("env_transition")),
+            stationary=ProbMeasure(array("env_stationary")),
+            family=tuple(family),
+        )
+        eta0 = ProbMeasure(array("eta0")) if "eta0" in obj else None
+        return kind, chain, eta0
     except (InvalidModel, FKError) as exc:
         raise CliError(EXIT_MODEL, f"invalid model in {path!r}: {exc}") from exc
     except (TypeError, ValueError) as exc:
         raise CliError(EXIT_SCHEMA, f"malformed value in {path!r}: {exc}") from exc
-    raise CliError(EXIT_SCHEMA, f"unknown field value kind={kind!r} in {path!r}")
 
 
-def _require_range(condition: bool, message: str) -> None:
-    if not condition:
-        raise CliError(EXIT_RANGE, message)
+def _at_least(minimum: int):
+    """An argparse ``type``: an integer >= ``minimum``, else a usage error (exit 2)."""
+
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        return value
+
+    return integer
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -238,111 +210,82 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def add_common(p, *, needs_N=False, needs_reps=False):
+    def add_command(name, handler, kinds, help, *, needs_N=False, reps_min=None):
+        """A subparser with the common options, accepting models of ``kinds``."""
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(handler=handler, kinds=kinds)
         p.add_argument("--config", required=True, help="model JSON file")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--kernel", choices=["multinomial", "transport"], default="multinomial")
-        p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
+        p.add_argument("--kernel", type=KernelChoice, default=KernelChoice.MULTINOMIAL,
+                       metavar="{multinomial,transport}")
+        p.add_argument("--threads", type=_at_least(1), default=os.cpu_count() or 1)
         if needs_N:
-            p.add_argument("--N", dest="N", type=int, required=True, help="particle count")
-        if needs_reps:
-            p.add_argument("--reps", type=int, required=True, help="replicate count")
+            p.add_argument("--N", type=_at_least(1), required=True, help="particle count")
+        if reps_min is not None:
+            p.add_argument("--reps", type=_at_least(reps_min), required=True,
+                           help="replicate count")
+        return p
 
-    p = sub.add_parser("oracle", help="exact solution and spectral report")
-    add_common(p)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--depth", type=int, default=None, help="series truncation depth")
+    def particle_counts(text: str) -> tuple:
+        return tuple(map(_at_least(100), text.split(",")))
+
+    p = add_command("oracle", cmd_oracle, ("homogeneous",), "exact solution and spectral report")
+    p.add_argument("--n", type=_at_least(1), required=True)
+    p.add_argument("--depth", type=_at_least(1), default=None, help="series truncation depth")
     p.add_argument("--out", default=None)
 
-    p = sub.add_parser("run", help="single particle run")
-    add_common(p, needs_N=True)
-    p.add_argument("--n", type=int, required=True)
+    p = add_command("run", cmd_run, ("homogeneous", "environment"), "single particle run",
+                    needs_N=True)
+    p.add_argument("--n", type=_at_least(0), required=True)
     p.add_argument("--out", default=None)
 
-    p = sub.add_parser("clt", help="replicated runs plus lognormal-limit report")
-    add_common(p, needs_N=True, needs_reps=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--depth", type=int, default=40, help="environment truncation depth")
-    p.add_argument("--horizon", type=int, default=10000, help="environment averaging horizon")
+    p = add_command("clt", cmd_clt, ("homogeneous", "environment"),
+                    "replicated runs plus lognormal-limit report",
+                    needs_N=True, reps_min=KS_MIN_SAMPLES)
+    p.add_argument("--n", type=_at_least(1), required=True)
+    p.add_argument("--depth", type=_at_least(1), default=40, help="environment truncation depth")
+    p.add_argument("--horizon", type=_at_least(100), default=10000,
+                   help="environment averaging horizon")
     p.add_argument("--out", default=None, help="samples CSV")
     p.add_argument("--report", default=None, help="report JSON")
 
-    p = sub.add_parser("fixed-n-clt", help="fixed-horizon variance sweep over N")
-    add_common(p, needs_reps=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--N", dest="N", required=True, help="comma-separated particle counts")
+    p = add_command("fixed-n-clt", cmd_fixed_n_clt, ("homogeneous",),
+                    "fixed-horizon variance sweep over N", reps_min=2)
+    p.add_argument("--n", type=_at_least(1), required=True)
+    p.add_argument("--N", type=particle_counts, required=True,
+                   help="comma-separated particle counts")
     p.add_argument("--report", default=None)
 
-    p = sub.add_parser("env-sigma2", help="ergodic variance rate of an environment model")
-    add_common(p)
-    p.add_argument("--horizon", type=int, default=10000)
-    p.add_argument("--depth", type=int, default=40)
+    p = add_command("env-sigma2", cmd_env_sigma2, ("environment",),
+                    "ergodic variance rate of an environment model")
+    p.add_argument("--horizon", type=_at_least(100), default=10000)
+    p.add_argument("--depth", type=_at_least(1), default=40)
     p.add_argument("--report", default=None)
 
-    p = sub.add_parser("qsd", help="survival and quasi-stationary distance tables")
-    add_common(p, needs_reps=True)
-    p.add_argument("--n", type=int, required=True, help="largest horizon in the table")
+    p = add_command("qsd", cmd_qsd, ("homogeneous",),
+                    "survival and quasi-stationary distance tables", reps_min=100)
+    p.add_argument("--n", type=_at_least(1), required=True, help="largest horizon in the table")
     p.add_argument("--out", default=None)
 
-    p = sub.add_parser("hmm", help="generate observations, dual likelihoods, particle check")
-    add_common(p, needs_N=True, needs_reps=True)
-    p.add_argument("--n", type=int, required=True, help="observation count")
+    p = add_command("hmm", cmd_hmm, ("hmm",),
+                    "generate observations, dual likelihoods, particle check",
+                    needs_N=True, reps_min=2)
+    p.add_argument("--n", type=_at_least(1), required=True, help="observation count")
     p.add_argument("--out", default=None, help="observations CSV")
     p.add_argument("--report", default=None)
     return parser
 
 
-def parse_config(argv) -> CliConfig:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    cfg = CliConfig(subcommand=args.subcommand)
-    cfg.seed = args.seed
-    cfg.kernel = KernelChoice.parse(args.kernel)
-    cfg.threads = args.threads
-    _require_range(cfg.threads >= 1, f"--threads must be >= 1, got {cfg.threads}")
-
-    if args.subcommand == "fixed-n-clt":
-        try:
-            cfg.N_list = tuple(int(tok) for tok in str(args.N).split(","))
-        except ValueError:
-            raise CliError(EXIT_RANGE, f"--N must be a comma-separated integer list, got {args.N!r}")
-        _require_range(all(N >= 100 for N in cfg.N_list), "--N entries must be >= 100")
-    elif hasattr(args, "N"):
-        cfg.N = args.N
-        _require_range(cfg.N >= 1, f"--N must be >= 1, got {cfg.N}")
-
-    if hasattr(args, "n"):
-        cfg.n = args.n
-        minimum = 0 if args.subcommand == "run" else 1
-        _require_range(cfg.n >= minimum, f"--n must be >= {minimum}, got {cfg.n}")
-    if hasattr(args, "reps"):
-        cfg.reps = args.reps
-        minimum = 100 if args.subcommand == "qsd" else 2
-        _require_range(cfg.reps >= minimum, f"--reps must be >= {minimum}, got {cfg.reps}")
-    if hasattr(args, "depth") and args.depth is not None:
-        cfg.depth = args.depth
-        _require_range(cfg.depth >= 1, f"--depth must be >= 1, got {cfg.depth}")
-    if hasattr(args, "horizon"):
-        cfg.horizon = args.horizon
-        _require_range(cfg.horizon >= 100, f"--horizon must be >= 100, got {cfg.horizon}")
-    cfg.out = getattr(args, "out", None)
-    cfg.report = getattr(args, "report", None)
-
-    cfg.model_kind, cfg.model, cfg.eta0 = _build_model(_load_model_file(args.config), args.config)
-    allowed_kinds = {
-        "oracle": ("homogeneous",),
-        "run": ("homogeneous", "environment"),
-        "clt": ("homogeneous", "environment"),
-        "fixed-n-clt": ("homogeneous",),
-        "env-sigma2": ("environment",),
-        "qsd": ("homogeneous",),
-        "hmm": ("hmm",),
-    }[args.subcommand]
-    if cfg.model_kind not in allowed_kinds:
+def parse_config(argv) -> argparse.Namespace:
+    """Parsed options plus the loaded model as ``model_kind``, ``model`` and
+    ``eta0``.  Option ranges are checked by the parser, before the file is read."""
+    cfg = _build_parser().parse_args(argv)
+    cfg.model_kind, cfg.model, cfg.eta0 = _build_model(_load_model_file(cfg.config), cfg.config)
+    if cfg.model_kind not in cfg.kinds:
         raise CliError(
             EXIT_SCHEMA,
-            f"subcommand {args.subcommand!r} needs a model of kind "
-            f"{' or '.join(allowed_kinds)}, got {cfg.model_kind!r}",
+            f"subcommand {cfg.subcommand!r} needs a model of kind "
+            f"{' or '.join(cfg.kinds)}, got {cfg.model_kind!r}",
         )
     return cfg
 
@@ -351,7 +294,14 @@ def _csv_lines(header: str, rows) -> str:
     return "\n".join([header, *rows]) + "\n"
 
 
-def _env_path_model(cfg: CliConfig):
+def _csv_row(*fields) -> str:
+    """Floats as ``repr(float(x))``, everything else as ``str``."""
+    return ",".join(
+        repr(float(f)) if isinstance(f, (float, np.floating)) else str(f) for f in fields
+    )
+
+
+def _env_path_model(cfg: argparse.Namespace):
     """The configured environment chain along a path from the path lane."""
     path = randenv.sample_env_path(
         cfg.model, past=0, horizon=cfg.n + 1, seed=derive_seed(cfg.seed, _LANE_PATH)
@@ -359,8 +309,8 @@ def _env_path_model(cfg: CliConfig):
     return randenv.env_model(cfg.model, path, eta0=cfg.eta0)
 
 
-def _materialize(cfg: CliConfig) -> tuple:
-    """Resolve the configured model into (FKModel, v_n target, sigma2 or None)."""
+def _materialize(cfg: argparse.Namespace) -> tuple:
+    """Resolve the configured model into (FKModel, v_n target, sigma2)."""
     if cfg.model_kind == "homogeneous":
         model = cfg.model
         target = oracle.v_n(model, cfg.kernel, cfg.n)
@@ -375,33 +325,26 @@ def _materialize(cfg: CliConfig) -> tuple:
     return model, cfg.n * sigma2, sigma2
 
 
-def cmd_oracle(cfg: CliConfig) -> int:
+def cmd_oracle(cfg: argparse.Namespace) -> int:
     report = oracle.oracle_report(cfg.model, cfg.n, cfg.kernel, series_depth=cfg.depth)
     _emit(_dump_json(report), cfg.out)
     return EXIT_OK
 
 
-def cmd_run(cfg: CliConfig) -> int:
+def cmd_run(cfg: argparse.Namespace) -> int:
     model = _env_path_model(cfg) if cfg.model_kind == "environment" else cfg.model
     exact = oracle.propagate(model, cfg.n).log_gammas[-1]
     record = run(model, cfg.N, cfg.n, cfg.kernel, cfg.seed, oracle_log_gamma=exact, replicate_id=0)
     header = "replicate_id,seed,n,N,kernel,log_gamma_N,log_gamma_bar"
-    row = ",".join(
-        [
-            str(record.replicate_id),
-            str(record.seed),
-            str(record.n),
-            str(record.N),
-            record.kernel.value,
-            _fmt_float(record.log_gamma_N),
-            _fmt_float(record.log_gamma_bar),
-        ]
+    row = _csv_row(
+        record.replicate_id, record.seed, record.n, record.N, record.kernel.value,
+        record.log_gamma_N, record.log_gamma_bar,
     )
     _emit(_csv_lines(header, [row]), cfg.out)
     return EXIT_OK
 
 
-def _clt_report_json(cfg: CliConfig, report: CltReport, sigma2) -> dict:
+def _clt_report_json(cfg: argparse.Namespace, report: CltReport, sigma2) -> dict:
     return {
         "schema": SCHEMA_VERSION,
         "n": cfg.n,
@@ -421,7 +364,7 @@ def _clt_report_json(cfg: CliConfig, report: CltReport, sigma2) -> dict:
     }
 
 
-def cmd_clt(cfg: CliConfig) -> int:
+def cmd_clt(cfg: argparse.Namespace) -> int:
     model, target, sigma2 = _materialize(cfg)
     config = ExperimentConfig(
         model=model, choice=cfg.kernel, n=cfg.n, N=cfg.N,
@@ -431,21 +374,16 @@ def cmd_clt(cfg: CliConfig) -> int:
     samples = [r.log_gamma_bar for r in records]
     report = lognormal_check(samples, target, cfg.N)
     if cfg.out is not None:
-        rows = [
-            ",".join(
-                [str(r.replicate_id), str(r.seed), _fmt_float(r.log_gamma_bar), _fmt_float(r.gamma_bar)]
-            )
-            for r in records
-        ]
+        rows = [_csv_row(r.replicate_id, r.seed, r.log_gamma_bar, r.gamma_bar) for r in records]
         _emit(_csv_lines("replicate_id,seed,log_gamma_bar,gamma_bar", rows), cfg.out)
     _emit(_dump_json(_clt_report_json(cfg, report, sigma2)), cfg.report)
     _log(f"clt verdicts: {report.verdicts}")
     return EXIT_OK if report.passed else EXIT_STAT_FAIL
 
 
-def cmd_fixed_n_clt(cfg: CliConfig) -> int:
+def cmd_fixed_n_clt(cfg: argparse.Namespace) -> int:
     rows = fixed_n_clt_check(
-        cfg.model, cfg.kernel, cfg.n, cfg.N_list, cfg.reps, cfg.seed, threads=cfg.threads
+        cfg.model, cfg.kernel, cfg.n, cfg.N, cfg.reps, cfg.seed, threads=cfg.threads
     )
     passed = rows[-1]["rel_error"] <= 0.15
     report = {
@@ -459,7 +397,7 @@ def cmd_fixed_n_clt(cfg: CliConfig) -> int:
     return EXIT_OK if passed else EXIT_STAT_FAIL
 
 
-def cmd_env_sigma2(cfg: CliConfig) -> int:
+def cmd_env_sigma2(cfg: argparse.Namespace) -> int:
     estimate, std_error = randenv.sigma2_env(
         cfg.model, cfg.kernel, cfg.horizon, cfg.depth, cfg.seed
     )
@@ -476,7 +414,7 @@ def cmd_env_sigma2(cfg: CliConfig) -> int:
     return EXIT_OK
 
 
-def cmd_qsd(cfg: CliConfig) -> int:
+def cmd_qsd(cfg: argparse.Namespace) -> int:
     model = cfg.model
     step = model.step(0)
     try:
@@ -493,23 +431,14 @@ def cmd_qsd(cfg: CliConfig) -> int:
         estimate = float(survival[horizon])
         std_error = math.sqrt(estimate * (1.0 - estimate) / cfg.reps)
         tv = total_variation(sol.etas[horizon], eta_inf)
-        rows.append(
-            ",".join(
-                [
-                    str(horizon),
-                    _fmt_float(math.exp(sol.log_gammas[horizon])),
-                    _fmt_float(estimate),
-                    _fmt_float(std_error),
-                    _fmt_float(tv),
-                ]
-            )
-        )
+        survival_oracle = math.exp(sol.log_gammas[horizon])
+        rows.append(_csv_row(horizon, survival_oracle, estimate, std_error, tv))
     header = "n,survival_oracle,survival_mc,mc_std_error,yaglom_tv"
     _emit(_csv_lines(header, rows), cfg.out)
     return EXIT_OK
 
 
-def cmd_hmm(cfg: CliConfig) -> int:
+def cmd_hmm(cfg: argparse.Namespace) -> int:
     params = cfg.model
     _, observations = app_models.hmm_generate(params, cfg.n, derive_seed(cfg.seed, _LANE_OBS))
     fk = app_models.hmm_build(params, observations)
@@ -544,31 +473,15 @@ def cmd_hmm(cfg: CliConfig) -> int:
     return EXIT_OK if agreement_ok and unbiased_ok else EXIT_STAT_FAIL
 
 
-_DISPATCH = {
-    "oracle": cmd_oracle,
-    "run": cmd_run,
-    "clt": cmd_clt,
-    "fixed-n-clt": cmd_fixed_n_clt,
-    "env-sigma2": cmd_env_sigma2,
-    "qsd": cmd_qsd,
-    "hmm": cmd_hmm,
-}
-
-
-def command_dispatch(cfg: CliConfig) -> int:
-    return _DISPATCH[cfg.subcommand](cfg)
+def command_dispatch(cfg: argparse.Namespace) -> int:
+    return cfg.handler(cfg)
 
 
 def main(argv=None) -> int:
     try:
-        cfg = parse_config(argv)
+        return command_dispatch(parse_config(argv))
     except SystemExit as exc:  # argparse usage errors exit with code 2
         return int(exc.code or 0)
-    except CliError as exc:
-        _log(f"error: {exc}")
-        return exc.exit_code
-    try:
-        return command_dispatch(cfg)
     except CliError as exc:
         _log(f"error: {exc}")
         return exc.exit_code

@@ -93,7 +93,7 @@ class ProbMeasure:
         if not np.all(np.isfinite(w)):
             raise InvalidModel("probability vector has non-finite entries")
         if np.any(w < -INPUT_ATOL):
-            raise InvalidModel(f"negative probability entry {w.min()!r}")
+            raise InvalidModel(f"negative probability entry {float(w.min())!r}")
         total = float(w.sum())
         if abs(total - 1.0) > INPUT_ATOL:
             raise InvalidModel(f"probability vector sums to {total!r}, not 1")
@@ -168,10 +168,11 @@ class StochasticKernel:
         if not np.all(np.isfinite(r)):
             raise InvalidModel("kernel has non-finite entries")
         if np.any(r < -INPUT_ATOL):
-            raise InvalidModel(f"negative kernel entry {r.min()!r}")
+            raise InvalidModel(f"negative kernel entry {float(r.min())!r}")
         sums = r.sum(axis=1)
         if np.any(np.abs(sums - 1.0) > INPUT_ATOL):
-            raise InvalidModel(f"kernel row sums deviate from 1 by up to {np.abs(sums - 1.0).max()!r}")
+            deviation = float(np.abs(sums - 1.0).max())
+            raise InvalidModel(f"kernel row sums deviate from 1 by up to {deviation!r}")
         r = np.clip(r, 0.0, None)
         object.__setattr__(self, "rows", _frozen(r / r.sum(axis=1, keepdims=True)))
 
@@ -204,7 +205,9 @@ class Potential:
         if not np.all(np.isfinite(v)):
             raise InvalidModel("potential has non-finite entries")
         if v.min() <= 0.0:
-            raise InvalidModel(f"potential must be strictly positive, min entry is {v.min()!r}")
+            raise InvalidModel(
+                f"potential must be strictly positive, min entry is {float(v.min())!r}"
+            )
         object.__setattr__(self, "values", _frozen(v))
 
     @property
@@ -410,7 +413,7 @@ def _kernel_rows_raw(
         return np.tile(phi, (m_r.shape[0], 1))
     if g_v.max() > 1.0:
         raise InvalidModel(
-            f"transport kernel needs potential values <= 1, max entry is {g_v.max()!r}"
+            f"transport kernel needs potential values <= 1, max entry is {float(g_v.max())!r}"
         )
     return g_v[:, None] * m_r + (1.0 - g_v)[:, None] * phi[None, :]
 

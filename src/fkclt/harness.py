@@ -11,6 +11,7 @@ bias-variance relation the estimator's unbiasedness forces.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -132,7 +133,10 @@ def replicate_experiment(
             for chunk in chunks
         ]
         records = []
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+        # The pool starts all its workers at once; more than there are chunks
+        # or CPUs would only cost forks.
+        workers = min(threads, len(chunks), os.cpu_count() or 1)
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             for part in pool.map(_run_replicates, payloads):
                 records.extend(part)
     return sorted(records, key=lambda r: r.replicate_id)

@@ -46,7 +46,7 @@ class AbsorptionModel:
         if self.G.values.min() <= 0.0 or self.G.values.max() >= 1.0:
             raise InvalidModel(
                 "survival probabilities must lie strictly inside (0, 1), "
-                f"got range [{self.G.values.min()!r}, {self.G.values.max()!r}]"
+                f"got range [{float(self.G.values.min())!r}, {float(self.G.values.max())!r}]"
             )
 
     def to_fk(self) -> FKModel:

@@ -74,7 +74,7 @@ class EnvironmentChain:
         drift = np.abs(self.stationary.weights @ self.transition.rows - self.stationary.weights)
         if drift.max() > 1e-10:
             raise InvalidModel(
-                f"stationary law is not invariant for the transition (drift {drift.max()!r})"
+                f"stationary law is not invariant for the transition (drift {float(drift.max())!r})"
             )
         object.__setattr__(self, "family", family)
 

@@ -50,6 +50,25 @@ HMM = {
 }
 
 
+# Every numeric option of each subcommand: (a valid value, a value just below
+# its minimum).
+PARSE_OPTIONS = {
+    "oracle": {"--n": ("2", "0"), "--depth": ("5", "0"), "--threads": ("1", "0")},
+    "run": {"--n": ("0", "-1"), "--N": ("8", "0"), "--threads": ("1", "0")},
+    "clt": {
+        "--n": ("4", "0"), "--N": ("8", "0"), "--reps": ("35", "34"),
+        "--depth": ("1", "0"), "--horizon": ("100", "99"), "--threads": ("1", "0"),
+    },
+    "fixed-n-clt": {
+        "--n": ("4", "0"), "--N": ("100,400", "100,99"), "--reps": ("2", "1"),
+        "--threads": ("1", "0"),
+    },
+    "env-sigma2": {"--horizon": ("100", "99"), "--depth": ("1", "0"), "--threads": ("1", "0")},
+    "qsd": {"--n": ("1", "0"), "--reps": ("100", "99"), "--threads": ("1", "0")},
+    "hmm": {"--n": ("1", "0"), "--N": ("1", "0"), "--reps": ("2", "1"), "--threads": ("1", "0")},
+}
+
+
 @pytest.fixture
 def model_file(tmp_path):
     def write(obj, name="model.json"):
@@ -66,12 +85,33 @@ class TestParseErrors:
         assert main(["clt", "--config", cfg, "--n", "4", "--N", "0", "--reps", "50"]) == 2
         assert main(["clt", "--config", cfg, "--n", "0", "--N", "8", "--reps", "50"]) == 2
         assert main(["clt", "--config", cfg, "--n", "4", "--N", "8", "--reps", "1"]) == 2
+        # The KS check needs 35 samples, so fewer replicates is a usage error.
+        assert main(["clt", "--config", cfg, "--n", "4", "--N", "8", "--reps", "34"]) == 2
         assert main(["env-sigma2", "--config", cfg, "--horizon", "50"]) == 2
 
     def test_usage_error_exit_2(self, model_file):
         cfg = model_file(TWO_STATE)
         assert main(["oracle", "--config", cfg, "--n", "2", "--kernel", "bogus"]) == 2
+        assert main(["oracle", "--config", cfg, "--n", "2", "--kernel", "MULTINOMIAL"]) == 2
         assert main(["no-such-command"]) == 2
+
+    @pytest.mark.parametrize(
+        "subcommand,option",
+        [(sub, option) for sub, options in PARSE_OPTIONS.items() for option in options],
+    )
+    def test_range_checked_before_file_is_read(self, tmp_path, subcommand, option):
+        missing = str(tmp_path / "missing.json")
+
+        def argv(bad_option):
+            args = [subcommand, "--config", missing]
+            for name, (valid, below) in PARSE_OPTIONS[subcommand].items():
+                args += [name, below if name == bad_option else valid]
+            return args
+
+        # Valid options reach the file and fail there (4); one value below
+        # its minimum fails at parse time (2), before the file is opened.
+        assert main(argv(None)) == 4
+        assert main(argv(option)) == 2
 
     def test_unknown_field_exit_3_and_named(self, model_file, capsys):
         cfg = model_file({**TWO_STATE, "sigma": 3})
@@ -81,6 +121,23 @@ class TestParseErrors:
     def test_missing_field_exit_3(self, model_file):
         broken = {k: v for k, v in TWO_STATE.items() if k != "G"}
         cfg = model_file(broken)
+        assert main(["oracle", "--config", cfg, "--n", "2"]) == 3
+
+    @pytest.mark.parametrize(
+        "family, named",
+        [
+            ([[0.5, 0.9]], "must be an object"),
+            ([{"M": [[1.0]], "G": [0.5], "H": 1}], "'H'"),
+            ([{"M": [[1.0]]}], "'G'"),
+        ],
+    )
+    def test_bad_family_entry_exit_3(self, model_file, capsys, family, named):
+        cfg = model_file({**ENVIRONMENT, "family": family}, "env.json")
+        assert main(["env-sigma2", "--config", cfg]) == 3
+        assert named in capsys.readouterr().err
+
+    def test_non_string_kind_exit_3(self, model_file):
+        cfg = model_file({**TWO_STATE, "kind": ["homogeneous"]})
         assert main(["oracle", "--config", cfg, "--n", "2"]) == 3
 
     def test_wrong_schema_version_exit_3(self, model_file):
@@ -226,9 +283,12 @@ class TestOtherCommands:
         cfg = model_file({**TWO_STATE, "G": [0.5, 1.2]})
         assert main(["qsd", "--config", cfg, "--n", "3", "--reps", "99"]) == 2
 
-    def test_qsd_rejects_unkillable_model(self, model_file):
+    def test_qsd_rejects_unkillable_model(self, model_file, capsys):
         cfg = model_file({**TWO_STATE, "G": [0.5, 1.2]})
         assert main(["qsd", "--config", cfg, "--n", "3", "--reps", "1000"]) == 5
+        err = capsys.readouterr().err
+        assert "1.2" in err
+        assert "np.float64" not in err
 
     def test_env_sigma2_report(self, model_file, capsys):
         cfg = model_file(ENVIRONMENT, "env.json")

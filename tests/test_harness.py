@@ -157,6 +157,34 @@ class TestReplicateExperiment:
         assert [r.log_gamma_N for r in serial] == [r.log_gamma_N for r in parallel]
         assert [r.log_gamma_bar for r in serial] == [r.log_gamma_bar for r in parallel]
 
+    def test_pool_is_no_wider_than_chunks_or_cpus(self, two_state, monkeypatch):
+        widths = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                widths.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, payloads):
+                return map(fn, payloads)
+
+        monkeypatch.setattr(fk.harness, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(fk.harness.os, "cpu_count", lambda: 4)
+        for replicates, threads in ((2, 8), (30, 5000), (30, 3)):
+            config = ExperimentConfig(
+                model=two_state, choice=MULTI, n=3, N=8, replicates=replicates, master_seed=5
+            )
+            serial = replicate_experiment(config, threads=1)
+            pooled = replicate_experiment(config, threads=threads)
+            assert [r.log_gamma_bar for r in pooled] == [r.log_gamma_bar for r in serial]
+        # Two replicates make two chunks; otherwise the 4 CPUs bound the pool.
+        assert widths == [2, 4, 3]
+
     def test_config_validation(self, two_state):
         with pytest.raises(ValueError):
             ExperimentConfig(model=two_state, choice=MULTI, n=0, N=1, replicates=2, master_seed=0)
