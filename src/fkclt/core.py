@@ -383,15 +383,15 @@ def _phi_raw(mu_w: np.ndarray, g_v: np.ndarray, m_r: np.ndarray) -> np.ndarray:
 def _categorical(
     cumulative: np.ndarray, u: np.ndarray, rows: Optional[np.ndarray] = None
 ) -> np.ndarray:
-    """Inverse-CDF draws min{x : F(x) >= u}, clipped to d-1 against a last
-    cumulative that rounds below 1.  ``cumulative`` is one CDF (d,) shared by
-    all draws, or a table (k, d) whose row ``rows[i]`` serves draw ``i``."""
-    if rows is None:
-        idx = np.searchsorted(cumulative, u, side="left")
-    else:
-        idx = (cumulative[rows] < u[:, None]).sum(axis=1)
-    np.minimum(idx, cumulative.shape[-1] - 1, out=idx)
-    return idx
+    """Inverse-CDF draws min{x : F(x) >= u}: each draw counts the first d-1
+    cumulative values below its uniform, as one (d-1, k) comparison at cost
+    O(k(d-1)).  The last cumulative is never compared, so a total that rounds
+    below 1 still yields at most d-1.  ``cumulative`` is one nondecreasing
+    CDF (d,) shared by all draws, or a table (m, d) whose row ``rows[i]``
+    serves draw ``i``."""
+    inner = cumulative[..., :-1].T
+    thresholds = inner[:, None] if rows is None else inner.take(rows, axis=1)
+    return (thresholds < u).sum(axis=0)
 
 
 def _chain_path(cum0: np.ndarray, cum_rows: np.ndarray, u: np.ndarray) -> np.ndarray:

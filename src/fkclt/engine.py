@@ -136,12 +136,13 @@ def step(system: ParticleSystem, model: FKModel, choice: KernelChoice) -> Partic
     fkstep = model.step(system.step)
     counts = np.bincount(system.states, minlength=system.d)
     mu_w = counts / system.N
-    rows = _kernel_rows_raw(choice, mu_w, fkstep.G.values, fkstep.M.rows)
-    u = system.stream.uniforms(system.N)
+    G, M = fkstep.G.values, fkstep.M.rows
     if choice is KernelChoice.MULTINOMIAL:
-        states = _categorical(np.cumsum(rows[0]), u)
+        cumulative, rows = np.cumsum(_phi_raw(mu_w, G, M)), None
     else:
-        states = _categorical(np.cumsum(rows, axis=1), u, system.states)
+        cumulative = np.cumsum(_kernel_rows_raw(choice, mu_w, G, M), axis=1)
+        rows = system.states
+    states = _categorical(cumulative, system.stream.uniforms(system.N), rows)
     return ParticleSystem(states, system.step + 1, system.stream, system.d)
 
 

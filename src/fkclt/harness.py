@@ -270,12 +270,13 @@ def fixed_n_clt_check(
     Returns one row per N with the variance, a 95% normal-approximation
     confidence interval, and the relative error against v_n.
     """
+    for N in N_list:
+        if N < 100:
+            raise ValueError(f"each N must be >= 100, got {N}")
     target = v_n(model, choice, n)
     oracle_log_gamma = propagate(model, n).log_gammas[-1]
     rows = []
     for j, N in enumerate(N_list):
-        if N < 100:
-            raise ValueError(f"each N must be >= 100, got {N}")
         config = ExperimentConfig(
             model=model, choice=choice, n=n, N=N,
             replicates=replicates, master_seed=derive_seed(seed, j),

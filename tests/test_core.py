@@ -275,17 +275,56 @@ class TestCategorical:
         assert _categorical(cum, u).tolist() == [9]
         assert _categorical(np.vstack([cum, cum]), u, np.array([1])).tolist() == [9]
 
+    @staticmethod
+    def _check_against_references(table, u, rows):
+        """The sampler against reference forms: a binary search on one CDF
+        and a compare-and-sum along gathered rows, each clipped to d-1; and
+        the table form row by row against the single-CDF form."""
+        d = table.shape[1]
+        single = _categorical(table[0], u)
+        expected = np.minimum(np.searchsorted(table[0], u, side="left"), d - 1)
+        assert single.dtype == np.int64 and np.array_equal(single, expected)
+        drawn = _categorical(table, u, rows)
+        expected = np.minimum((table[rows] < u[:, None]).sum(axis=1), d - 1)
+        assert drawn.dtype == np.int64 and np.array_equal(drawn, expected)
+        per_row = [_categorical(table[r], u[i : i + 1])[0] for i, r in enumerate(rows)]
+        assert np.array_equal(drawn, np.array(per_row, dtype=np.int64))
+
     def test_agrees_with_searchsorted_and_compare_and_sum(self):
         gen = np.random.default_rng(2718)
-        for d in (1, 2, 3, 8):
+        for d in (1, 2, 3, 8, 16, 64):
             table = np.cumsum(gen.dirichlet(np.ones(d), size=d), axis=1)
             u = gen.random(5000)
             rows = gen.integers(0, d, size=u.size)
-            single = _categorical(table[0], u)
-            expected = np.minimum(np.searchsorted(table[0], u, side="left"), d - 1)
-            assert np.array_equal(single, expected)
-            drawn = _categorical(table, u, rows)
-            expected = np.minimum((table[rows] < u[:, None]).sum(axis=1), d - 1)
-            assert np.array_equal(drawn, expected)
-            per_row = [_categorical(table[r], u[i : i + 1])[0] for i, r in enumerate(rows)]
-            assert np.array_equal(drawn, per_row)
+            self._check_against_references(table, u, rows)
+
+    def test_zero_probability_states_and_uniforms_on_the_steps(self):
+        weights = np.array(
+            [
+                [0.0, 0.25, 0.0, 0.0, 0.5, 0.25, 0.0, 0.0],  # leading, interior and tail zeros
+                [0.0, 0.0, 0.125, 0.375, 0.0, 0.5, 0.0, 0.0],
+                [0.3, 0.3, 0.3, 0.1, 0.0, 0.0, 0.0, 0.0],  # repeated tail below 1.0
+                [1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+            ]
+        )
+        table = np.cumsum(weights, axis=1)
+        assert table[2, -1] < 1.0
+        steps = np.unique(np.concatenate([table.ravel(), [0.0, 1.0]]))
+        u = np.concatenate([steps, np.nextafter(steps, -1.0), np.nextafter(steps, 2.0)])
+        u = u[(u >= 0.0) & (u <= 1.0)]
+        rows = np.arange(u.size) % table.shape[0]
+        for r in range(table.shape[0]):
+            self._check_against_references(np.roll(table, -r, axis=0), u, rows)
+        # A uniform on a repeated cumulative takes the first state that
+        # reaches it, never a later state of probability zero.
+        drawn = _categorical(table[0], np.array([0.25, 0.75, 1.0]))
+        assert drawn.tolist() == [1, 4, 5]
+
+    def test_empty_draw(self):
+        for d in (1, 2, 5):
+            table = np.cumsum(np.full((3, d), 1.0 / d), axis=1)
+            u = np.empty(0)
+            rows = np.empty(0, dtype=np.int64)
+            assert _categorical(table[0], u).shape == (0,)
+            assert _categorical(table, u, rows).shape == (0,)
+            self._check_against_references(table, u, rows)

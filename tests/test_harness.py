@@ -213,3 +213,10 @@ class TestFixedN:
     def test_rejects_small_N(self, two_state):
         with pytest.raises(ValueError):
             fixed_n_clt_check(two_state, MULTI, 3, [50], 100, seed=1)
+
+    def test_rejects_small_N_before_any_replicate(self, two_state, monkeypatch):
+        calls = []
+        monkeypatch.setattr(fk.harness, "replicate_experiment", lambda *a, **k: calls.append(a))
+        with pytest.raises(ValueError, match="got 50"):
+            fixed_n_clt_check(two_state, MULTI, 3, [100, 50], 100, seed=1)
+        assert calls == []
