@@ -9,7 +9,6 @@ from .core import (
     ScheduleExhausted,
     ConvergenceError,
     ConsistencyError,
-    StateSpace,
     ProbMeasure,
     FunctionVector,
     StochasticKernel,

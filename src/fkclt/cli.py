@@ -337,7 +337,7 @@ def cmd_run(cfg: argparse.Namespace) -> int:
     record = run(model, cfg.N, cfg.n, cfg.kernel, cfg.seed, oracle_log_gamma=exact, replicate_id=0)
     header = "replicate_id,seed,n,N,kernel,log_gamma_N,log_gamma_bar"
     row = _csv_row(
-        record.replicate_id, record.seed, record.n, record.N, record.kernel.value,
+        record.replicate_id, record.seed, cfg.n, cfg.N, cfg.kernel.value,
         record.log_gamma_N, record.log_gamma_bar,
     )
     _emit(_csv_lines(header, [row]), cfg.out)

@@ -70,17 +70,6 @@ def as_values(f: ArrayLike) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class StateSpace:
-    """Finite state space {0, ..., size-1}."""
-
-    size: int
-
-    def __post_init__(self) -> None:
-        if self.size < 1:
-            raise InvalidModel(f"state space needs at least one state, got {self.size}")
-
-
-@dataclass(frozen=True)
 class ProbMeasure:
     """Probability vector over the state space."""
 
@@ -254,32 +243,46 @@ class FKStep:
 
 @dataclass(frozen=True)
 class HomogeneousSchedule:
-    """Same (G, M) pair at every step."""
+    """Same (G, M) pair at every step, stored once as one ``FKStep``."""
 
     M: StochasticKernel
     G: Potential
 
     def __post_init__(self) -> None:
-        if self.G.d != self.M.d:
-            raise DimensionMismatch("potential and kernel dimensions differ")
+        object.__setattr__(self, "_step", FKStep(self.G, self.M))
+
+    @property
+    def d(self) -> int:
+        return self.M.d
 
     def step(self, p: int) -> FKStep:
         if p < 0:
             raise ScheduleExhausted(f"step index {p} is negative")
-        return FKStep(self.G, self.M)
+        return self._step
 
 
 @dataclass(frozen=True)
 class ExplicitSchedule:
-    """Finite list of (G, M) steps."""
+    """Finite, non-empty list of (G, M) steps on one state space."""
 
     steps: tuple
 
     def __post_init__(self) -> None:
         steps = tuple(self.steps)
+        if not steps:
+            raise InvalidModel("explicit schedule needs at least one step")
         if not all(isinstance(s, FKStep) for s in steps):
             raise InvalidModel("explicit schedule entries must be FKStep values")
+        for p, s in enumerate(steps):
+            if s.G.d != steps[0].G.d:
+                raise DimensionMismatch(
+                    f"schedule step {p} has dimension {s.G.d}, step 0 has {steps[0].G.d}"
+                )
         object.__setattr__(self, "steps", steps)
+
+    @property
+    def d(self) -> int:
+        return self.steps[0].G.d
 
     def step(self, p: int) -> FKStep:
         if not 0 <= p < len(self.steps):
@@ -289,40 +292,37 @@ class ExplicitSchedule:
 
 @dataclass(frozen=True)
 class FKModel:
-    """Initial law plus a schedule of selection/mutation steps."""
+    """Initial law plus a schedule of selection/mutation steps.
 
-    space: StateSpace
+    The schedule states its dimension ``d`` and is checked against the
+    initial law once, here, so ``step`` is a plain lookup."""
+
     eta0: ProbMeasure
-    schedule: object  # anything with .step(p) -> FKStep
+    schedule: object  # anything with .d and .step(p) -> FKStep of that dimension
 
     def __post_init__(self) -> None:
-        if self.eta0.d != self.space.size:
-            raise DimensionMismatch("initial law does not match the state space size")
+        if self.eta0.d != self.schedule.d:
+            raise DimensionMismatch("initial law and schedule dimensions differ")
 
     @property
     def d(self) -> int:
-        return self.space.size
+        return self.eta0.d
 
     @property
     def homogeneous(self) -> bool:
         return isinstance(self.schedule, HomogeneousSchedule)
 
     def step(self, p: int) -> FKStep:
-        s = self.schedule.step(p)
-        if s.G.d != self.d:
-            raise DimensionMismatch(f"schedule step {p} has dimension {s.G.d}, model has {self.d}")
-        return s
+        return self.schedule.step(p)
 
 
 def homogeneous_model(M: StochasticKernel, G: Potential, eta0: ProbMeasure) -> FKModel:
-    return FKModel(StateSpace(M.d), eta0, HomogeneousSchedule(M, G))
+    return FKModel(eta0, HomogeneousSchedule(M, G))
 
 
 def explicit_model(steps: Sequence[FKStep], eta0: ProbMeasure) -> FKModel:
-    steps = tuple(steps)
-    if not steps:
-        raise InvalidModel("explicit schedule needs at least one step")
-    return FKModel(StateSpace(steps[0].G.d), eta0, ExplicitSchedule(steps))
+    """Model over the given steps; every step's dimension is checked here."""
+    return FKModel(eta0, ExplicitSchedule(tuple(steps)))
 
 
 @dataclass(frozen=True)
@@ -333,7 +333,8 @@ class ModelBounds:
     ``a_hat`` and ``lambda_hat`` come from a least-squares fit of the
     Dobrushin coefficients ``beta(P_{0,n})`` against ``n`` on a log scale;
     ``b_bound = exp(a_hat (g - 1) / (1 - exp(-lambda_hat)))`` dominates the
-    normalized-semigroup ratio profile when the geometric decay holds.
+    normalized-semigroup ratio profile when the geometric decay holds; it is
+    inf when that exceeds the float range or when lambda_hat <= 0.
     These are diagnostics, not assumptions.
     """
 

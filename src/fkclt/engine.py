@@ -4,7 +4,9 @@ Each particle moves independently, conditionally on the previous
 generation, by a draw from its own kernel row evaluated at the current
 empirical measure.  Categorical draws go through ``core._categorical``
 with one uniform per draw; the empirical measure is recomputed from state
-counts at every step.
+counts at every step.  A run returns only what its callers read
+(``RunRecord``): the seed, the replicate index, and the log
+normalizing-constant estimate, raw and normalized by the exact value.
 """
 
 from __future__ import annotations
@@ -87,26 +89,17 @@ class ParticleSystem:
     def N(self) -> int:
         return self.states.size
 
-    def empirical(self) -> ProbMeasure:
-        counts = np.bincount(self.states, minlength=self.d)
-        return ProbMeasure(counts / self.N)
-
 
 @dataclass(frozen=True)
 class RunRecord:
-    """Summary of one particle run: per-step potential means and the
-    log normalizing-constant estimate, optionally normalized by the exact
-    value."""
+    """One particle run: its seed and replicate index, the log
+    normalizing-constant estimate, and that estimate normalized by the exact
+    value when one was given."""
 
     seed: int
-    n: int
-    N: int
-    kernel: KernelChoice
-    potential_means: tuple
+    replicate_id: int
     log_gamma_N: float
     log_gamma_bar: Optional[float]
-    final_measure: ProbMeasure
-    replicate_id: int = -1
 
     @property
     def gamma_bar(self) -> Optional[float]:
@@ -165,7 +158,6 @@ def run(
     if n < 0:
         raise ValueError(f"step count must be >= 0, got {n}")
     system = init_particles(model, N, seed)
-    means = []
     log_gamma = 0.0
     for p in range(n):
         g_values = model.step(p).G.values
@@ -175,28 +167,16 @@ def run(
                 f"empirical potential mean vanished at step {p}; "
                 "the model violates the positive-potential requirement"
             )
-        means.append(mean_p)
         log_gamma += math.log(mean_p)
         system = step(system, model, choice)
     log_gamma_bar = None if oracle_log_gamma is None else log_gamma - oracle_log_gamma
-    return RunRecord(
-        seed=seed,
-        n=n,
-        N=N,
-        kernel=choice,
-        potential_means=tuple(means),
-        log_gamma_N=log_gamma,
-        log_gamma_bar=log_gamma_bar,
-        final_measure=system.empirical(),
-        replicate_id=replicate_id,
-    )
+    return RunRecord(seed, replicate_id, log_gamma, log_gamma_bar)
 
 
 def local_error_field(
     before: ParticleSystem,
     after: ParticleSystem,
     model: FKModel,
-    choice: KernelChoice,
     f: ArrayLike,
 ) -> float:
     """Scaled one-step sampling error sqrt(N) (eta_n^N(f) - Phi_n(eta_{n-1}^N)(f)).
@@ -205,7 +185,6 @@ def local_error_field(
     ``before``; its value does not depend on the kernel choice, only the
     fluctuations around it do.
     """
-    del choice
     if after.step != before.step + 1 or after.N != before.N or after.d != before.d:
         raise InvalidModel("systems are not a one-step predecessor/successor pair")
     values = as_values(f)

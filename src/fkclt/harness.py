@@ -6,6 +6,10 @@ against a normal law with mean -v_n/(2N) and variance v_n/N, where v_n is
 the oracle's accumulated conditional variance.  The predicted mean is minus
 half the predicted variance by construction, which is exactly the
 bias-variance relation the estimator's unbiasedness forces.
+
+Replicates run in chunks, in this process with one thread and on a process
+pool otherwise.  Replicate i draws from the seed derived from the master
+seed and i, so the chunk layout cannot change any result.
 """
 
 from __future__ import annotations
@@ -53,10 +57,6 @@ class ExperimentConfig:
         if self.replicates < 2:
             raise ValueError("need at least 2 replicates")
 
-    @property
-    def alpha(self) -> float:
-        return self.n / self.N
-
 
 @dataclass(frozen=True)
 class CltReport:
@@ -89,17 +89,11 @@ class CltReport:
 
 
 def _run_replicates(payload) -> list:
-    model, choice, n, N, master_seed, oracle_log_gamma, indices = payload
+    """Task function of the chunk loop: the records of one chunk of replicates."""
+    config, oracle_log_gamma, indices = payload
+    model, N, n, choice = config.model, config.N, config.n, config.choice
     return [
-        run(
-            model,
-            N,
-            n,
-            choice,
-            derive_seed(master_seed, i),
-            oracle_log_gamma=oracle_log_gamma,
-            replicate_id=i,
-        )
+        run(model, N, n, choice, derive_seed(config.master_seed, i), oracle_log_gamma, i)
         for i in indices
     ]
 
@@ -111,34 +105,26 @@ def replicate_experiment(
 ) -> list:
     """Run R independent replicates with seeds derived from the master seed.
 
-    Replicates are independent tasks, so the worker pool layout cannot
-    change the result; the output is sorted by replicate index either way.
+    The replicates are dealt into min(R, 4 threads) chunks.  With one thread
+    the chunks run in this process; otherwise on a pool of min(threads,
+    chunks, CPUs) processes, since a wider pool would only cost forks.
+    Replicates are independent tasks, so the layout cannot change the
+    result; the output is sorted by replicate index either way.
     """
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
     if oracle_log_gamma is None:
         oracle_log_gamma = propagate(config.model, config.n).log_gammas[-1]
-    indices = list(range(config.replicates))
+    indices = range(config.replicates)
+    chunk_count = min(config.replicates, threads * 4)
+    payloads = [(config, oracle_log_gamma, indices[c::chunk_count]) for c in range(chunk_count)]
     if threads == 1:
-        records = _run_replicates(
-            (config.model, config.choice, config.n, config.N, config.master_seed,
-             oracle_log_gamma, indices)
-        )
+        parts = list(map(_run_replicates, payloads))
     else:
-        chunk_count = min(len(indices), threads * 4)
-        chunks = [indices[c::chunk_count] for c in range(chunk_count)]
-        payloads = [
-            (config.model, config.choice, config.n, config.N, config.master_seed,
-             oracle_log_gamma, chunk)
-            for chunk in chunks
-        ]
-        records = []
-        # The pool starts all its workers at once; more than there are chunks
-        # or CPUs would only cost forks.
-        workers = min(threads, len(chunks), os.cpu_count() or 1)
+        workers = min(threads, chunk_count, os.cpu_count() or 1)
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for part in pool.map(_run_replicates, payloads):
-                records.extend(part)
+            parts = list(pool.map(_run_replicates, payloads))
+    records = [record for part in parts for record in part]
     return sorted(records, key=lambda r: r.replicate_id)
 
 
@@ -282,9 +268,7 @@ def fixed_n_clt_check(
             replicates=replicates, master_seed=derive_seed(seed, j),
         )
         records = replicate_experiment(config, oracle_log_gamma=oracle_log_gamma, threads=threads)
-        samples = np.array(
-            [math.sqrt(N) * (math.exp(r.log_gamma_bar) - 1.0) for r in records]
-        )
+        samples = np.array([math.sqrt(N) * (r.gamma_bar - 1.0) for r in records])
         variance = float(samples.var(ddof=1))
         half = 1.96 * variance * math.sqrt(2.0 / (replicates - 1))
         rows.append(

@@ -9,6 +9,7 @@ reported ratios.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
@@ -185,14 +186,14 @@ def _ols_line(xs: Sequence[float], ys: Sequence[float]) -> tuple:
     return slope, intercept
 
 
-def contraction_profile(model: FKModel, n_max: int) -> ModelBounds:
+def contraction_profile(model: FKModel, n_max: int = 30) -> ModelBounds:
     """Dobrushin-coefficient profile with a fitted geometric decay rate.
 
     Computes ``beta(P_{0,n})`` and the semigroup ratio ``g_{0,n}`` for
-    ``n = 1..n_max`` and fits ``log beta`` against ``n`` by ordinary least
-    squares over the points above the noise floor.  When every coefficient
-    is at the floor (rank-one mixing), ``lambda_hat`` is reported as
-    ``+inf`` with ``a_hat = 1``.
+    ``n = 1..n_max`` (30 for the oracle report and the series depth) and
+    fits ``log beta`` against ``n`` by ordinary least squares over the points
+    above the noise floor.  When every coefficient is at the floor (rank-one
+    mixing), ``lambda_hat`` is reported as ``+inf`` with ``a_hat = 1``.
     """
     if n_max < 2:
         raise ValueError(f"profile needs n_max >= 2, got {n_max}")
@@ -217,12 +218,12 @@ def contraction_profile(model: FKModel, n_max: int) -> ModelBounds:
     else:
         lambda_hat = math.inf
         a_hat = 1.0
-    if math.isinf(lambda_hat):
-        b_bound = math.exp(a_hat * (g_pot - 1.0))
-    elif lambda_hat > 0.0:
-        b_bound = math.exp(a_hat * (g_pot - 1.0) / (1.0 - math.exp(-lambda_hat)))
-    else:
-        b_bound = math.inf
+    b_bound = math.inf
+    if lambda_hat > 0.0:
+        # exp(-inf) = 0 leaves the rank-one exponent a_hat (g - 1).  A slowly
+        # mixing model can push the exponent past the float range.
+        with contextlib.suppress(OverflowError):
+            b_bound = math.exp(a_hat * (g_pot - 1.0) / (1.0 - math.exp(-lambda_hat)))
     g_within = all(g <= b_bound * (1.0 + 1e-12) for g in g_values)
     return ModelBounds(
         g=g_pot,
@@ -370,7 +371,7 @@ def qbar_p_inf(model: FKModel, p: int, depth: Optional[int] = None) -> FunctionV
     contraction rate.
     """
     if depth is None:
-        depth = default_series_depth(contraction_profile(model, 30).lambda_hat)
+        depth = default_series_depth(contraction_profile(model).lambda_hat)
     if depth < 1:
         raise ValueError(f"series depth must be >= 1, got {depth}")
     eta_p = propagate(model, p).etas[p]
@@ -384,7 +385,6 @@ def oracle_report(
     model: FKModel,
     n: int,
     choice: KernelChoice,
-    profile_depth: int = 30,
     series_depth: Optional[int] = None,
 ) -> dict:
     """Assemble the JSON-ready oracle record for a model.
@@ -404,7 +404,7 @@ def oracle_report(
     }
     if model.homogeneous:
         pair = spectral_pair(model, choice)
-        bounds = contraction_profile(model, profile_depth)
+        bounds = contraction_profile(model)
         depth = series_depth
         if depth is None and bounds.lambda_hat > 0.0:
             depth = default_series_depth(bounds.lambda_hat)

@@ -24,7 +24,6 @@ from .core import (
     KernelChoice,
     Potential,
     ProbMeasure,
-    StateSpace,
     StochasticKernel,
     cov_operator,
     _chain_path,
@@ -144,6 +143,10 @@ class EnvironmentSchedule:
     chain: EnvironmentChain
     path: EnvPath
 
+    @property
+    def d(self) -> int:
+        return self.chain.state_dim
+
     def step(self, p: int) -> FKStep:
         return FKStep(
             self.chain.potential(self.path.state(p)),
@@ -156,7 +159,7 @@ def env_model(
 ) -> FKModel:
     if eta0 is None:
         eta0 = ProbMeasure.uniform(chain.state_dim)
-    return FKModel(StateSpace(chain.state_dim), eta0, EnvironmentSchedule(chain, path))
+    return FKModel(eta0, EnvironmentSchedule(chain, path))
 
 
 def eta_inf_env(chain: EnvironmentChain, y: EnvPath, position: int, depth: int) -> ProbMeasure:

@@ -4,6 +4,8 @@ import importlib.util
 import json
 import math
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -39,6 +41,16 @@ ENVIRONMENT = {
         {"M": [[0.7, 0.3], [0.4, 0.6]], "G": [0.5, 0.9]},
         {"M": [[0.7, 0.3], [0.4, 0.6]], "G": [0.7, 0.6]},
     ],
+}
+
+# Slow mixing and a potential ratio of 100: the fitted contraction bound
+# exp(a_hat (g - 1) / (1 - exp(-lambda_hat))) lies beyond the float range.
+SLOW_MIXING = {
+    "schema": 1,
+    "kind": "homogeneous",
+    "M": [[0.99, 0.01], [0.01, 0.99]],
+    "G": [0.01, 1.0],
+    "eta0": [0.5, 0.5],
 }
 
 HMM = {
@@ -174,6 +186,13 @@ class TestOracleCommand:
         assert report["schema"] == 1
         assert len(report["v_n_table"]) == 4
         assert report["lambda_hat"] > 0
+
+    def test_unbounded_contraction_bound_is_inf(self, model_file, capsys):
+        cfg = model_file(SLOW_MIXING)
+        assert main(["oracle", "--config", cfg, "--n", "5"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["b_bound"] == "inf"
+        assert report["g"] == 100.0
 
     def test_writes_file_and_keeps_stdout_clean(self, model_file, tmp_path, capsys):
         cfg = model_file(TWO_STATE)
@@ -380,3 +399,15 @@ def test_benchmark_traced_names_exist():
         module = getattr(fkclt, module_name)
         for name in names:
             assert callable(getattr(module, name, None)), f"{module_name}.{name}"
+
+
+def test_benchmark_selftest_passes():
+    # The benchmark's self-tests pin the traced engine and harness work
+    # (step and run counts, spans gathered from pool workers, restored
+    # bindings), so a change to either can break them.
+    root = os.path.join(os.path.dirname(__file__), os.pardir)
+    proc = subprocess.run(
+        [sys.executable, os.path.join("perfbench", "selftest.py")],
+        cwd=root, capture_output=True, text=True, timeout=600,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr

@@ -51,8 +51,9 @@ class TestConstruction:
             fk.FunctionVector([1.0, float("nan")])
 
     def test_state_space_needs_a_state(self):
-        with pytest.raises(InvalidModel):
-            fk.StateSpace(0)
+        # A model's state space {0, ..., d-1} takes d from its initial law.
+        with pytest.raises(DimensionMismatch):
+            fk.ProbMeasure([])
 
     def test_values_are_immutable(self):
         mu, G, M = make_pieces()
@@ -65,6 +66,35 @@ class TestConstruction:
         assert fk.KernelChoice.parse("transport") is fk.KernelChoice.TRANSPORT
         with pytest.raises(InvalidModel):
             fk.KernelChoice.parse("stratified")
+
+
+class TestModelConstruction:
+    def test_explicit_model_checks_every_step_when_built(self):
+        mu, G, M = make_pieces()
+        two = fk.FKStep(G, M)
+        three = fk.FKStep(fk.Potential([0.5, 0.9, 0.7]), fk.StochasticKernel.identity(3))
+        with pytest.raises(DimensionMismatch, match="step 2 has dimension 3"):
+            fk.explicit_model([two, two, three], mu)
+        with pytest.raises(DimensionMismatch):
+            fk.explicit_model([three], mu)
+        with pytest.raises(InvalidModel):
+            fk.explicit_model([], mu)
+
+    def test_model_checks_schedule_against_initial_law(self):
+        _, G, M = make_pieces()
+        with pytest.raises(DimensionMismatch):
+            fk.homogeneous_model(M, G, fk.ProbMeasure([0.2, 0.3, 0.5]))
+        with pytest.raises(DimensionMismatch):
+            fk.homogeneous_model(M, fk.Potential([0.5, 0.9, 0.7]), fk.ProbMeasure([0.5, 0.5]))
+
+    def test_homogeneous_schedule_stores_one_step(self):
+        mu, G, M = make_pieces()
+        model = fk.homogeneous_model(M, G, mu)
+        assert model.d == 2
+        assert model.step(0) is model.step(7)
+        np.testing.assert_array_equal(model.step(3).G.values, G.values)
+        with pytest.raises(fk.ScheduleExhausted):
+            model.step(-1)
 
 
 class TestBoltzmannGibbs:

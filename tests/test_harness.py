@@ -191,7 +191,6 @@ class TestReplicateExperiment:
         with pytest.raises(ValueError):
             ExperimentConfig(model=two_state, choice=MULTI, n=1, N=1, replicates=1, master_seed=0)
         config = ExperimentConfig(model=two_state, choice=MULTI, n=4, N=8, replicates=2, master_seed=0)
-        assert config.alpha == 0.5
         with pytest.raises(ValueError):
             replicate_experiment(config, threads=0)
 
