@@ -134,10 +134,6 @@ class FunctionVector:
         return float(self.values.max() - self.values.min())
 
     @classmethod
-    def ones(cls, d: int) -> "FunctionVector":
-        return cls(np.ones(d))
-
-    @classmethod
     def indicator(cls, d: int, x: int) -> "FunctionVector":
         v = np.zeros(d)
         v[x] = 1.0
@@ -172,13 +168,6 @@ class StochasticKernel:
     @classmethod
     def identity(cls, d: int) -> "StochasticKernel":
         return cls(np.eye(d))
-
-    def apply(self, f: ArrayLike) -> np.ndarray:
-        """Action on functions: (Kf)(x) = sum_y K(x, y) f(y)."""
-        return self.rows @ as_values(f)
-
-    def row(self, x: int) -> ProbMeasure:
-        return ProbMeasure(self.rows[x])
 
 
 @dataclass(frozen=True)

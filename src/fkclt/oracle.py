@@ -344,29 +344,43 @@ def default_series_depth(lambda_hat: float) -> int:
     return max(1, math.ceil(SERIES_TAIL_TARGET / lambda_hat))
 
 
-def _log_series(base_w: np.ndarray, potentials: Sequence, kernels: Sequence) -> np.ndarray:
-    """exp of the log series of the limiting normalized-semigroup function:
-    term ``q`` compares the lag-``q`` potential means of the flows started at
-    each point mass and at ``base_w``.  ``kernels[q]`` moves lag ``q`` to lag
-    ``q + 1``, so there is one kernel fewer than potentials."""
-    d = base_w.size
-    # Rows 0..d-1 carry the flow of each point mass, row d the flow of base_w.
-    stack = np.vstack([np.eye(d), base_w])
-    logs = np.zeros(d)
-    for q, g in enumerate(potentials):
-        if q:
-            stack = (weighted / denoms[:, None]) @ kernels[q - 1]
-        weighted = stack * g[None, :]
-        denoms = weighted.sum(axis=1)
-        logs += np.log(denoms[:d]) - math.log(denoms[d])
-    return np.exp(logs)
+def _ordered_products(stack: np.ndarray) -> np.ndarray:
+    """Ordered products ``A_0 A_1 ... A_{k-1}`` of a (b, k, d, d) stack of
+    nonnegative matrices: one (d, d) product per batch entry, as (b, d, d).
+
+    Neighbouring pairs are multiplied level by level, so k factors take about
+    log2(k) batched products.  Each product is scaled to max entry 1 at every
+    level, so long products do not underflow; the scale is dropped, and only
+    ratios of entries of a result are meaningful.  k = 0 gives the identity.
+    """
+    b, k, d, _ = stack.shape
+    if k == 0:
+        return np.broadcast_to(np.eye(d), (b, d, d))
+    while k > 1:
+        paired = stack[:, 0 : k - 1 : 2] @ stack[:, 1::2]
+        flat = paired.reshape(b, -1, d * d)  # a view: scaling it scales paired
+        flat /= flat.max(axis=2, keepdims=True)
+        if k % 2:  # the odd factor out is the last one; it joins the next level
+            paired = np.concatenate([paired, stack[:, k - 1 :]], axis=1)
+        stack = paired
+        k = stack.shape[1]
+    return stack[:, 0]
+
+
+def _limit_function(product: np.ndarray, g_last: np.ndarray, eta: np.ndarray) -> np.ndarray:
+    """The truncated limiting function ``product @ g_last``, scaled to mean
+    one under the weights ``eta``."""
+    u = product @ g_last
+    return u / float(eta @ u)
 
 
 def qbar_p_inf(model: FKModel, p: int, depth: Optional[int] = None) -> FunctionVector:
-    """Limit of the normalized semigroup columns, through its log series.
+    """Limit of the normalized semigroup columns, truncated at ``depth``.
 
-    The series term at lag ``q`` is the log ratio of the potential means of
-    the flow started from each point mass against the flow started from
+    The truncated limit is ``Q_p ... Q_{p+depth-2} G_{p+depth-1}`` with
+    ``Q_q = diag(G_q) M_{q+1}``, scaled to ``eta_p``-mean one; this is the
+    exponential of the log series whose lag-``q`` term compares the
+    potential means of the flows started at each point mass and at
     ``eta_p``.  When ``depth`` is omitted it is derived from the fitted
     contraction rate.
     """
@@ -375,10 +389,11 @@ def qbar_p_inf(model: FKModel, p: int, depth: Optional[int] = None) -> FunctionV
     if depth < 1:
         raise ValueError(f"series depth must be >= 1, got {depth}")
     eta_p = propagate(model, p).etas[p]
-    steps = [model.step(p + offset) for offset in range(depth)]
-    return FunctionVector(
-        _log_series(eta_p.weights, [s.G.values for s in steps], [s.M.rows for s in steps[:-1]])
-    )
+    d = model.d
+    factors = np.array([_factor(model, q) for q in range(p, p + depth - 1)])
+    (product,) = _ordered_products(factors.reshape(1, depth - 1, d, d))
+    g_last = model.step(p + depth - 1).G.values
+    return FunctionVector(_limit_function(product, g_last, eta_p.weights))
 
 
 def oracle_report(

@@ -5,6 +5,12 @@ chain with an explicit stationary law.  A realized environment path selects
 one (kernel, potential) pair per time index; backward limits along the path
 are truncated at an explicit depth, justified by the exponential forgetting
 of the measure flow.
+
+Every backward limit is an ordered product of the nonnegative matrices
+``Q_q = diag(G_q) M_{q+1}`` read off the path: with depth ``D``,
+``eta_inf(p)`` is proportional to ``1^T Q_{p-D} ... Q_{p-1}`` and ``h(p)`` to
+``Q_p ... Q_{p+D-2} G_{p+D-1}``.  The products are reduced pairwise by the
+oracle's product routine, a few batched array calls per position.
 """
 
 from __future__ import annotations
@@ -27,9 +33,9 @@ from .core import (
     StochasticKernel,
     cov_operator,
     _chain_path,
-    _phi_raw,
+    _frozen,
 )
-from .oracle import _log_series
+from .oracle import _limit_function, _ordered_products
 
 BATCH_COUNT = 32  # batch-means default for correlated time averages
 
@@ -76,6 +82,10 @@ class EnvironmentChain:
                 f"stationary law is not invariant for the transition (drift {float(drift.max())!r})"
             )
         object.__setattr__(self, "family", family)
+        # The family stacked once, indexed by environment state: potentials
+        # (env_size, d) and kernels (env_size, d, d).
+        object.__setattr__(self, "_G", _frozen([G.values for _, G in family]))
+        object.__setattr__(self, "_M", _frozen([M.rows for M, _ in family]))
 
     @property
     def env_size(self) -> int:
@@ -90,6 +100,12 @@ class EnvironmentChain:
 
     def potential(self, s: int) -> Potential:
         return self.family[s][1]
+
+    def factors(self, states: np.ndarray) -> np.ndarray:
+        """The matrices ``diag(G_q) M_{q+1}`` along consecutive path states:
+        potential of each state but the last, kernel of each but the first,
+        as a (len(states) - 1, d, d) array."""
+        return self._G[states[:-1], :, None] * self._M[states[1:]]
 
 
 @dataclass(frozen=True)
@@ -116,6 +132,14 @@ class EnvPath:
                 f"index {index} outside the path window [{self.lo}, {self.hi}]"
             )
         return int(self.states[index - self.lo])
+
+    def window(self, first: int, last: int) -> np.ndarray:
+        """States at the indices ``first..last``, both included."""
+        if first < self.lo or last > self.hi:
+            raise WindowTooShort(
+                f"indices [{first}, {last}] outside the path window [{self.lo}, {self.hi}]"
+            )
+        return self.states[first - self.lo : last - self.lo + 1]
 
     def shift(self, k: int) -> "EnvPath":
         """Reindex so that position p on the shifted path is position p+k here."""
@@ -162,38 +186,43 @@ def env_model(
     return FKModel(eta0, EnvironmentSchedule(chain, path))
 
 
+def _flow(product: np.ndarray) -> np.ndarray:
+    """The uniform law carried through a product of factors and normalized:
+    ``1^T product``, scaled to sum one."""
+    w = product.sum(axis=0)
+    return w / w.sum()
+
+
 def eta_inf_env(chain: EnvironmentChain, y: EnvPath, position: int, depth: int) -> ProbMeasure:
     """Backward-limit measure at ``position``, truncated ``depth`` steps back.
 
-    Starts from the uniform law at position - depth and runs the path-driven
-    flow forward; by exponential forgetting the starting law only moves the
-    result by O(exp(-lambda depth)).
+    The flow started from the uniform law at ``position - depth`` and driven
+    by the path, in product form: proportional to
+    ``1^T Q_{position-depth} ... Q_{position-1}``.  By exponential forgetting
+    the starting law only moves the result by O(exp(-lambda depth)).
     """
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
-    mu = np.full(chain.state_dim, 1.0 / chain.state_dim)
-    for q in range(position - depth, position):
-        g = chain.potential(y.state(q)).values
-        m = chain.kernel(y.state(q + 1)).rows
-        mu = _phi_raw(mu, g, m)
-    return ProbMeasure(mu)
+    factors = chain.factors(y.window(position - depth, position))
+    (product,) = _ordered_products(factors[None])
+    return ProbMeasure(_flow(product))
 
 
 def h_env(chain: EnvironmentChain, y: EnvPath, position: int, depth: int) -> FunctionVector:
-    """Limiting normalized-semigroup function at ``position`` via its log series.
+    """Limiting normalized-semigroup function at ``position``, truncated at
+    ``depth``: ``Q_position ... Q_{position+depth-2} G_{position+depth-1}``
+    scaled to mean one under the backward-limit measure at ``position``.
 
-    Term ``q`` compares the potential mean of the flow started at each point
-    mass against the flow started at the backward-limit measure, both driven
-    by the path from ``position``; the series is truncated after ``depth``
-    terms.
+    This is the exponential of the log series whose term ``q`` compares the
+    potential means of the flows started at each point mass and at the
+    backward-limit measure, both driven by the path from ``position``.
     """
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
     base = eta_inf_env(chain, y, position, depth)
-    states = [y.state(position + offset) for offset in range(depth)]
-    potentials = [chain.potential(s).values for s in states]
-    kernels = [chain.kernel(s).rows for s in states[1:]]
-    return FunctionVector(_log_series(base.weights, potentials, kernels))
+    states = y.window(position, position + depth - 1)
+    (product,) = _ordered_products(chain.factors(states)[None])
+    return FunctionVector(_limit_function(product, chain._G[states[-1]], base.weights))
 
 
 def c_of_y(
@@ -204,13 +233,26 @@ def c_of_y(
     depth: int,
 ) -> float:
     """Per-step variance contribution of the environment at ``position``:
-    the conditional covariance of the limiting function against itself,
-    under the backward-limit measure one step earlier."""
-    mu = eta_inf_env(chain, y, position - 1, depth)
-    h = h_env(chain, y, position, depth)
-    G = chain.potential(y.state(position - 1))
-    M = chain.kernel(y.state(position))
-    return cov_operator(choice, mu, G, M, h, h)
+    the conditional covariance of the limiting function ``h_env(position)``
+    against itself, under the backward-limit measure one step earlier.
+
+    With ``p = position`` and ``D = depth``, both backward limits share the
+    product ``Q_{p-D} ... Q_{p-2}``; it and the product behind ``h`` are
+    reduced in one batched call over the window of states ``[p-1-D, p+D-1]``,
+    and finished by the same formulas as ``eta_inf_env`` and ``h_env``.
+    """
+    if depth < 1:
+        raise ValueError(f"depth must be >= 1, got {depth}")
+    states = y.window(position - 1 - depth, position + depth - 1)
+    d = chain.state_dim
+    # Row 0 holds Q_{p-1-D} .. Q_{p-2}, row 1 holds Q_{p-1} .. Q_{p+D-2}.
+    factors = chain.factors(states).reshape(2, depth, d, d)
+    shared, tail = _ordered_products(factors[:, 1:])
+    mu = _flow(factors[0, 0] @ shared)  # eta_inf(p - 1)
+    h = _limit_function(tail, chain._G[states[-1]], _flow(shared @ factors[1, 0]))
+    G = chain.potential(int(states[depth]))
+    M = chain.kernel(int(states[depth + 1]))
+    return cov_operator(choice, ProbMeasure(mu), G, M, h, h)
 
 
 def sigma2_env(

@@ -319,6 +319,21 @@ class TestOtherCommands:
         assert report["sigma2"] > 0
         assert report["std_error"] >= 0
 
+    def test_env_sigma2_benchmark_estimate(self, capsys):
+        # The benchmark's env-sigma2 run (horizon 10^4, depth 40) against the
+        # values it stores for its default seed.
+        root = os.path.join(os.path.dirname(__file__), os.pardir)
+        with open(os.path.join(root, "perfbench", "reference.json")) as fh:
+            stored = json.load(fh)["env_sigma2"]
+        code = main(
+            ["env-sigma2", "--config", os.path.join(root, "configs", "env_two_state.json"),
+             "--horizon", "10000", "--depth", "40", "--seed", str(stored["seed"])]
+        )
+        assert code == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["sigma2"] == pytest.approx(stored["sigma2"], rel=1e-12, abs=0)
+        assert report["std_error"] == pytest.approx(stored["std_error"], rel=1e-12, abs=0)
+
     def test_hmm_end_to_end(self, model_file, tmp_path):
         cfg = model_file(HMM, "hmm.json")
         obs = tmp_path / "obs.csv"

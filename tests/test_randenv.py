@@ -7,6 +7,7 @@ import pytest
 
 import fkclt as fk
 from fkclt.core import InvalidModel
+from fkclt.oracle import _ordered_products
 from fkclt.randenv import WindowTooShort, EnvironmentSchedule
 
 MULTI = fk.KernelChoice.MULTINOMIAL
@@ -18,6 +19,80 @@ def single_state_chain(M, G):
         stationary=fk.ProbMeasure([1.0]),
         family=((M, G),),
     )
+
+
+def random_chain(rng, env_size, d, floor):
+    """Random environment whose potentials reach down to ``floor``."""
+    transition = fk.StochasticKernel(rng.dirichlet(np.ones(env_size), size=env_size))
+    family = []
+    for _ in range(env_size):
+        G = 10.0 ** rng.uniform(math.log10(floor), 0.0, size=d)
+        G[rng.integers(d)] = floor
+        family.append((fk.StochasticKernel(rng.dirichlet(np.ones(d), size=d)), fk.Potential(G)))
+    return fk.EnvironmentChain(
+        transition=transition,
+        stationary=fk.stationary_distribution(transition),
+        family=tuple(family),
+    )
+
+
+# Reference loops: the step-by-step forms of the backward limits, which the
+# product forms must reproduce.
+
+
+def ref_flow(chain, y, position, depth):
+    """Normalized flow from the uniform law at position - depth."""
+    mu = np.full(chain.state_dim, 1.0 / chain.state_dim)
+    for q in range(position - depth, position):
+        w = mu * chain.potential(y.state(q)).values
+        mu = (w / w.sum()) @ chain.kernel(y.state(q + 1)).rows
+    return mu
+
+
+def ref_log_series(base_w, potentials, kernels):
+    """exp of the log series: term q compares the lag-q potential means of the
+    flows started at each point mass and at base_w; kernels[q] moves lag q to
+    lag q + 1."""
+    d = base_w.size
+    stack = np.vstack([np.eye(d), base_w])
+    logs = np.zeros(d)
+    for q, g in enumerate(potentials):
+        if q:
+            stack = (weighted / denoms[:, None]) @ kernels[q - 1]
+        weighted = stack * g[None, :]
+        denoms = weighted.sum(axis=1)
+        logs += np.log(denoms[:d]) - math.log(denoms[d])
+    return np.exp(logs)
+
+
+def ref_h(chain, y, position, depth):
+    states = [y.state(position + offset) for offset in range(depth)]
+    return ref_log_series(
+        ref_flow(chain, y, position, depth),
+        [chain.potential(s).values for s in states],
+        [chain.kernel(s).rows for s in states[1:]],
+    )
+
+
+def ref_c(chain, choice, y, position, depth):
+    h = ref_h(chain, y, position, depth)
+    return fk.cov_operator(
+        choice,
+        fk.ProbMeasure(ref_flow(chain, y, position - 1, depth)),
+        chain.potential(y.state(position - 1)),
+        chain.kernel(y.state(position)),
+        h,
+        h,
+    )
+
+
+def ref_product(stack):
+    """Left-to-right product of a (k, d, d) stack, scaled to max 1 per step."""
+    out = np.eye(stack.shape[1])
+    for factor in stack:
+        out = out @ factor
+        out = out / out.max()
+    return out
 
 
 class TestConstruction:
@@ -239,6 +314,97 @@ class TestCofY:
             direct = fk.c_of_y(env_chain, MULTI, path, p, depth=40)
             shifted = fk.c_of_y(env_chain, MULTI, path.shift(p), 0, depth=40)
             assert direct == shifted  # same absolute inputs, same floats
+
+    @pytest.mark.parametrize("side", ["past", "future"])
+    def test_window_one_index_short(self, env_chain, side):
+        # c_of_y at position 1 and depth 6 reads the indices [-6, 6].
+        path = fk.sample_env_path(env_chain, past=6, horizon=6, seed=8)
+        fk.c_of_y(env_chain, MULTI, path, 1, depth=6)
+        short = path.shift(-1) if side == "past" else path.shift(1)
+        with pytest.raises(WindowTooShort):
+            fk.c_of_y(env_chain, MULTI, short, 1, depth=6)
+
+
+class TestReferenceLoops:
+    """The product forms against the step-by-step loops they replaced."""
+
+    @pytest.mark.parametrize("depth", [1, 2, 3, 7, 40])
+    @pytest.mark.parametrize("env_size", [1, 2, 3])
+    @pytest.mark.parametrize("d", [1, 2, 3, 5])
+    def test_backward_limits_match_loops(self, d, env_size, depth):
+        rng = np.random.default_rng(1000 * d + 100 * env_size + depth)
+        chain = random_chain(rng, env_size, d, floor=1e-12)
+        path = fk.sample_env_path(chain, past=depth + 2, horizon=depth + 6, seed=depth)
+        model = fk.env_model(chain, path.shift(-depth - 2))
+        for p in (0, 1, 3):
+            np.testing.assert_allclose(
+                fk.eta_inf_env(chain, path, p, depth).weights,
+                ref_flow(chain, path, p, depth),
+                rtol=1e-12, atol=0,
+            )
+            np.testing.assert_allclose(
+                fk.h_env(chain, path, p, depth).values,
+                ref_h(chain, path, p, depth),
+                rtol=1e-12, atol=0,
+            )
+            for choice in fk.KernelChoice:
+                assert fk.c_of_y(chain, choice, path, p, depth) == pytest.approx(
+                    ref_c(chain, choice, path, p, depth), rel=1e-12, abs=0
+                )
+            q = p + depth + 2  # the same absolute index on the model's clock
+            steps = [model.step(q + offset) for offset in range(depth)]
+            np.testing.assert_allclose(
+                fk.qbar_p_inf(model, q, depth).values,
+                ref_log_series(
+                    fk.propagate(model, q).etas[q].weights,
+                    [s.G.values for s in steps],
+                    [s.M.rows for s in steps[:-1]],
+                ),
+                rtol=1e-12, atol=0,
+            )
+
+    def test_long_window_with_small_potentials(self):
+        # At depth 1000 every factor is below 1e-3, so an unscaled product
+        # would underflow to zero.
+        rng = np.random.default_rng(77)
+        M = fk.StochasticKernel(rng.dirichlet(np.ones(3), size=3))
+        family = tuple((M, fk.Potential(1e-3 * rng.uniform(0.5, 1.0, size=3))) for _ in range(2))
+        chain = fk.EnvironmentChain(
+            transition=fk.StochasticKernel([[0.6, 0.4], [0.4, 0.6]]),
+            stationary=fk.ProbMeasure([0.5, 0.5]),
+            family=family,
+        )
+        path = fk.sample_env_path(chain, past=1001, horizon=1001, seed=2)
+        for choice in fk.KernelChoice:
+            value = fk.c_of_y(chain, choice, path, 1, depth=1000)
+            assert math.isfinite(value)
+            assert value == pytest.approx(ref_c(chain, choice, path, 1, 1000), rel=1e-12, abs=0)
+
+
+class TestOrderedProducts:
+    def test_no_factors_give_the_identity(self):
+        out = _ordered_products(np.empty((2, 0, 3, 3)))
+        np.testing.assert_array_equal(out, np.broadcast_to(np.eye(3), (2, 3, 3)))
+
+    def test_one_factor_is_returned_as_is(self):
+        stack = np.random.default_rng(3).random((2, 1, 3, 3))
+        np.testing.assert_array_equal(_ordered_products(stack), stack[:, 0])
+
+    @pytest.mark.parametrize("k", [2, 3, 5, 7, 12])
+    def test_matches_the_loop_in_order(self, k):
+        # Non-commuting random factors, two batch entries.
+        stack = np.random.default_rng(k).random((2, k, 3, 3))
+        out = _ordered_products(stack)
+        for b in range(2):
+            ref = ref_product(stack[b])
+            np.testing.assert_allclose(out[b] / out[b].max(), ref, rtol=1e-12, atol=0)
+
+    def test_long_product_does_not_underflow(self):
+        rng = np.random.default_rng(5)
+        stack = 1e-3 * rng.dirichlet(np.ones(3), size=(1, 1000, 3))
+        out = _ordered_products(stack)[0]
+        assert np.all(np.isfinite(out)) and out.max() == 1.0
+        np.testing.assert_allclose(out, ref_product(stack[0]), rtol=1e-12, atol=0)
 
 
 class TestSigma2Env:
