@@ -8,6 +8,13 @@ then moves it through the Markov kernel ``M_{p+1}``.
 
 Everything in this module is pure.  Arrays are copied at construction time
 and marked read-only, so values are safe to share across threads.
+
+Raw arrays inside, validated objects at the public edges: the value types
+check their inputs once, when built, and the public operations check
+dimensions before handing plain arrays to the private ``_*_raw`` routines.
+Those routines (reweighting, the mean-field kernel rows, the conditional
+covariance) validate nothing and take leading batch axes, so the exact
+solvers and the particle engine call them inside their loops at array cost.
 """
 
 from __future__ import annotations
@@ -92,6 +99,14 @@ class ProbMeasure:
     @property
     def d(self) -> int:
         return self.weights.size
+
+    @classmethod
+    def _checked(cls, weights: np.ndarray) -> "ProbMeasure":
+        """Wrap weights that a raw routine has already checked and
+        normalized; normalizing them a second time would move their bits."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "weights", _frozen(weights))
+        return out
 
     @classmethod
     def uniform(cls, d: int) -> "ProbMeasure":
@@ -358,16 +373,23 @@ def oscillation(f: ArrayLike) -> float:
     return float(v.max() - v.min())
 
 
-# Raw-array work-horses shared by the public operations and the particle
-# engine; inputs are assumed validated by the callers.
+# Raw-array work-horses shared by the public operations, the exact solvers
+# and the particle engine.  Inputs are assumed validated by the callers.
+# Leading axes are batch axes: measures and functions are (..., d) and
+# kernels (..., d, d), so one call serves one step or a stack of them.  One
+# step, the engine's and the flow's hot path, takes the 1-d forms, which skip
+# the keepdims sum and the indexing of the batch axis.
 
 def _bg_raw(mu_w: np.ndarray, g_v: np.ndarray) -> np.ndarray:
     w = mu_w * g_v
-    return w / w.sum()
+    return w / (w.sum() if w.ndim == 1 else w.sum(axis=-1, keepdims=True))
 
 
 def _phi_raw(mu_w: np.ndarray, g_v: np.ndarray, m_r: np.ndarray) -> np.ndarray:
-    return _bg_raw(mu_w, g_v) @ m_r
+    w = _bg_raw(mu_w, g_v)
+    if w.ndim == 1:
+        return w @ m_r
+    return (w[..., None, :] @ m_r)[..., 0, :]
 
 
 def _categorical(
@@ -398,14 +420,36 @@ def _chain_path(cum0: np.ndarray, cum_rows: np.ndarray, u: np.ndarray) -> np.nda
 def _kernel_rows_raw(
     choice: KernelChoice, mu_w: np.ndarray, g_v: np.ndarray, m_r: np.ndarray
 ) -> np.ndarray:
+    """Rows of the mean-field kernel, (..., d, d).  The rows are always a
+    materialized contiguous array: matrix products over a stride-0 view leave
+    BLAS and sum in another order."""
     phi = _phi_raw(mu_w, g_v, m_r)
     if choice is KernelChoice.MULTINOMIAL:
-        return np.tile(phi, (m_r.shape[0], 1))
+        return phi[..., None, :].repeat(m_r.shape[-1], axis=-2)
     if g_v.max() > 1.0:
         raise InvalidModel(
             f"transport kernel needs potential values <= 1, max entry is {float(g_v.max())!r}"
         )
-    return g_v[:, None] * m_r + (1.0 - g_v)[:, None] * phi[None, :]
+    return g_v[..., :, None] * m_r + (1.0 - g_v)[..., :, None] * phi[..., None, :]
+
+
+def _cov_raw(
+    choice: KernelChoice,
+    mu_w: np.ndarray,
+    g_v: np.ndarray,
+    m_r: np.ndarray,
+    v1: np.ndarray,
+    v2: np.ndarray,
+) -> np.ndarray:
+    """Conditional covariances ``mu[K(v1 v2) - K(v1) K(v2)]`` of a batch of b
+    rows: ``mu_w``, ``g_v``, ``v1``, ``v2`` are (b, d) and ``m_r`` is
+    (b, d, d); returns (b,).  Each row takes the same matrix-vector and dot
+    products as a batch of one, so a row's value does not depend on b."""
+    rows = _kernel_rows_raw(choice, mu_w, g_v, m_r)
+    k1 = (rows @ v1[:, :, None])[:, :, 0]
+    k2 = k1 if v2 is v1 else (rows @ v2[:, :, None])[:, :, 0]
+    k12 = (rows @ (v1 * v2)[:, :, None])[:, :, 0]
+    return (mu_w[:, None, :] @ (k12 - k1 * k2)[:, :, None])[:, 0, 0]
 
 
 def boltzmann_gibbs(mu: ProbMeasure, G: Potential) -> ProbMeasure:
@@ -452,11 +496,8 @@ def cov_operator(
     v1 = as_values(f1)
     v2 = as_values(f2)
     _check_same_d(mu.d, G.d, M.d, v1.size, v2.size)
-    rows = _kernel_rows_raw(choice, mu.weights, G.values, M.rows)
-    k1 = rows @ v1
-    k2 = rows @ v2
-    k12 = rows @ (v1 * v2)
-    return float(mu.weights @ (k12 - k1 * k2))
+    (value,) = _cov_raw(choice, mu.weights[None], G.values[None], M.rows[None], v1[None], v2[None])
+    return float(value)
 
 
 def dobrushin(P: StochasticKernel) -> float:

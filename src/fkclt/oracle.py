@@ -5,6 +5,14 @@ Everything here is deterministic linear algebra on small dense vectors.
 Backward semigroup recursions renormalize at every step, so no quantity
 underflows even for long horizons; normalizations cancel in all the
 reported ratios.
+
+Raw arrays inside, validated objects at the public edges: one private
+routine, ``_measure_flow``, runs the measure recursion on a (n+1, d) array
+and checks the whole flow once at its end.  ``propagate`` wraps it in
+``ProbMeasure`` values for its callers; ``v_n`` and the semigroup columns
+read the array directly, and ``v_n`` evaluates all of its covariance terms
+in one batched call of ``core._cov_raw``, the routine behind
+``cov_operator``.
 """
 
 from __future__ import annotations
@@ -17,6 +25,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .core import (
+    INPUT_ATOL,
     ArrayLike,
     ConsistencyError,
     ConvergenceError,
@@ -32,6 +41,8 @@ from .core import (
     dobrushin,
     phi_step,
     total_variation,
+    _cov_raw,
+    _phi_raw,
 )
 
 FIXED_POINT_TOL = 1e-13
@@ -87,28 +98,35 @@ class _KahanSum:
         self.value = t
 
 
-def propagate(model: FKModel, n: int) -> OracleSolution:
-    """Run the exact measure recursion for ``n`` steps.
+def _measure_flow(model: FKModel, n: int) -> tuple:
+    """The exact measure recursion for ``n`` steps, on raw arrays.
 
-    Besides the product of per-step potential means, the log normalizing
-    constants are recomputed through the unnormalized linear recursion
-    ``gamma_{p+1} = (gamma_p . G_p) M_{p+1}`` and the two routes are required
-    to agree to 1e-10.
+    Returns the flow weights as one (n+1, d) array, and the n+1 log
+    normalizing constants and the n potential means as lists of floats.
+    Each step is the arithmetic of ``phi_step``: Boltzmann-Gibbs
+    reweighting, the kernel, a clip at 0 and a division by the sum.  Besides
+    the product of the potential means, the log normalizing constants are
+    recomputed through the unnormalized linear recursion
+    ``gamma_{p+1} = (gamma_p . G_p) M_{p+1}``, and the two routes must agree
+    to 1e-10 at every step.  The flow is checked once, at the end: finite,
+    nonnegative, every row summing to 1.
     """
     if n < 0:
         raise ValueError(f"step count must be >= 0, got {n}")
-    etas = [model.eta0]
+    etas = np.empty((n + 1, model.d))
+    etas[0] = eta = model.eta0.weights
     log_gammas = [0.0]
     means = []
-    gvec = model.eta0.weights.copy()
+    gvec = eta
     gshift = 0.0
     for p in range(n):
         step = model.step(p)
-        mean_p = etas[p].mean(step.G.values)
-        means.append(mean_p)
-        log_gammas.append(log_gammas[p] + math.log(mean_p))
-        etas.append(phi_step(etas[p], step.G, step.M))
-        gvec = (gvec * step.G.values) @ step.M.rows
+        g, m = step.G.values, step.M.rows
+        means.append(float(eta @ g))
+        log_gammas.append(log_gammas[p] + math.log(means[p]))
+        w = np.maximum(_phi_raw(eta, g, m), 0.0)  # the clip at 0 of a ProbMeasure
+        etas[p + 1] = eta = w / w.sum()
+        gvec = (gvec * g) @ m
         total = gvec.sum()
         gshift += math.log(total)
         gvec = gvec / total
@@ -117,7 +135,27 @@ def propagate(model: FKModel, n: int) -> OracleSolution:
                 f"normalizing-constant routes disagree at step {p + 1}: "
                 f"{gshift!r} vs {log_gammas[p + 1]!r}"
             )
-    return OracleSolution(tuple(etas), tuple(log_gammas), tuple(means))
+    bad = ~np.isfinite(etas).all(axis=1) | (etas < 0.0).any(axis=1)
+    bad |= np.abs(etas.sum(axis=1) - 1.0) > INPUT_ATOL
+    if bad.any():
+        p = int(bad.argmax())
+        raise InvalidModel(f"measure flow at step {p} is not a probability vector: {etas[p]}")
+    return etas, log_gammas, means
+
+
+def propagate(model: FKModel, n: int) -> OracleSolution:
+    """Run the exact measure recursion for ``n`` steps.
+
+    Besides the product of per-step potential means, the log normalizing
+    constants are recomputed through the unnormalized linear recursion
+    ``gamma_{p+1} = (gamma_p . G_p) M_{p+1}`` and the two routes are required
+    to agree to 1e-10.  The flow comes from ``_measure_flow``, which checks
+    it; its rows are wrapped as they are.
+    """
+    etas, log_gammas, means = _measure_flow(model, n)
+    return OracleSolution(
+        tuple(ProbMeasure._checked(eta) for eta in etas), tuple(log_gammas), tuple(means)
+    )
 
 
 def _factor(model: FKModel, q: int) -> np.ndarray:
@@ -140,12 +178,12 @@ def qbar_pn_one(model: FKModel, p: int, n: int) -> FunctionVector:
     """Normalized semigroup column: Q_{p,n}(1) scaled to have eta_p-mean one."""
     if not 0 <= p <= n:
         raise ValueError(f"need 0 <= p <= n, got p={p}, n={n}")
-    eta_p = propagate(model, p).etas[p]
+    eta_p = _measure_flow(model, p)[0][p]
     u = np.ones(model.d)
     for q in range(n - 1, p - 1, -1):
         u = _factor(model, q) @ u
         u = u / u.max()  # positive rescale, cancels in the final normalization
-    return FunctionVector(u / float(eta_p.weights @ u))
+    return FunctionVector(u / float(eta_p @ u))
 
 
 def d_pn(model: FKModel, p: int, n: int, f: ArrayLike) -> FunctionVector:
@@ -153,14 +191,14 @@ def d_pn(model: FKModel, p: int, n: int, f: ArrayLike) -> FunctionVector:
     if not 0 <= p <= n:
         raise ValueError(f"need 0 <= p <= n, got p={p}, n={n}")
     values = as_values(f)
-    sol = propagate(model, n)
-    centered = values - sol.etas[n].mean(values)
+    etas = _measure_flow(model, n)[0]
+    centered = values - float(etas[n] @ values)
     stack = np.vstack([centered, np.ones(model.d)])
     for q in range(n - 1, p - 1, -1):
         factor = _factor(model, q)
         stack = stack @ factor.T
         stack = stack / np.abs(stack).max()  # common rescale keeps the ratio exact
-    denom = float(sol.etas[p].weights @ stack[1])
+    denom = float(etas[p] @ stack[1])
     return FunctionVector(stack[0] / denom)
 
 
@@ -248,20 +286,24 @@ def v_n(model: FKModel, choice: KernelChoice, n: int) -> float:
         raise ValueError(f"step count must be >= 0, got {n}")
     if n == 0:
         return 0.0
-    sol = propagate(model, n)
-    d = model.d
-    ubars = [None] * n
-    u = np.ones(d)
+    etas = _measure_flow(model, n)[0]
+    steps = [model.step(q) for q in range(n)]
+    G = np.array([s.G.values for s in steps])  # (n, d)
+    M = np.array([s.M.rows for s in steps])  # (n, d, d)
+    factors = G[:, :, None] * M
+    ubars = np.empty((n, model.d))
+    u = np.ones(model.d)
     for q in range(n - 1, -1, -1):
-        u = _factor(model, q) @ u
-        u = u / float(sol.etas[q].weights @ u)  # exact eta_q-mean-one normalization
+        u = factors[q] @ u
+        u = u / float(etas[q] @ u)  # exact eta_q-mean-one normalization
         ubars[q] = u
     acc = _KahanSum()
     centered0 = ubars[0] - 1.0
-    acc.add(float(sol.etas[0].weights @ (centered0 * centered0)))
-    for q in range(1, n):
-        step = model.step(q - 1)
-        acc.add(cov_operator(choice, sol.etas[q - 1], step.G, step.M, ubars[q], ubars[q]))
+    acc.add(float(etas[0] @ (centered0 * centered0)))
+    if n > 1:  # term q >= 1: the covariance under step q-1 of the column at q
+        cols = ubars[1:]
+        for term in _cov_raw(choice, etas[: n - 1], G[: n - 1], M[: n - 1], cols, cols).tolist():
+            acc.add(term)
     # Every term is a variance, so the sum is nonnegative up to cancellation
     # noise; clamp the noise.
     return max(acc.value, 0.0)
@@ -388,12 +430,12 @@ def qbar_p_inf(model: FKModel, p: int, depth: Optional[int] = None) -> FunctionV
         depth = default_series_depth(contraction_profile(model).lambda_hat)
     if depth < 1:
         raise ValueError(f"series depth must be >= 1, got {depth}")
-    eta_p = propagate(model, p).etas[p]
+    eta_p = _measure_flow(model, p)[0][p]
     d = model.d
     factors = np.array([_factor(model, q) for q in range(p, p + depth - 1)])
     (product,) = _ordered_products(factors.reshape(1, depth - 1, d, d))
     g_last = model.step(p + depth - 1).G.values
-    return FunctionVector(_limit_function(product, g_last, eta_p.weights))
+    return FunctionVector(_limit_function(product, g_last, eta_p))
 
 
 def oracle_report(

@@ -11,6 +11,12 @@ Every backward limit is an ordered product of the nonnegative matrices
 ``eta_inf(p)`` is proportional to ``1^T Q_{p-D} ... Q_{p-1}`` and ``h(p)`` to
 ``Q_p ... Q_{p+D-2} G_{p+D-1}``.  The products are reduced pairwise by the
 oracle's product routine, a few batched array calls per position.
+
+Raw arrays inside, validated objects at the public edges: the chain is
+checked once, when built, and stacks its potentials and kernels; ``c_of_y``
+reads those stacks and hands plain arrays to ``core._cov_raw``, building no
+measure or function object per position.  It keeps the path-window check
+and rejects a non-finite contribution.
 """
 
 from __future__ import annotations
@@ -31,8 +37,8 @@ from .core import (
     Potential,
     ProbMeasure,
     StochasticKernel,
-    cov_operator,
     _chain_path,
+    _cov_raw,
     _frozen,
 )
 from .oracle import _limit_function, _ordered_products
@@ -250,9 +256,13 @@ def c_of_y(
     shared, tail = _ordered_products(factors[:, 1:])
     mu = _flow(factors[0, 0] @ shared)  # eta_inf(p - 1)
     h = _limit_function(tail, chain._G[states[-1]], _flow(shared @ factors[1, 0]))
-    G = chain.potential(int(states[depth]))
-    M = chain.kernel(int(states[depth + 1]))
-    return cov_operator(choice, ProbMeasure(mu), G, M, h, h)
+    G = chain._G[states[depth]]
+    M = chain._M[states[depth + 1]]
+    h = h[None]
+    (value,) = _cov_raw(choice, mu[None], G[None], M[None], h, h)
+    if not math.isfinite(value):
+        raise InvalidModel(f"variance contribution at position {position} is {value!r}")
+    return float(value)
 
 
 def sigma2_env(

@@ -334,6 +334,28 @@ class TestOtherCommands:
         assert report["sigma2"] == pytest.approx(stored["sigma2"], rel=1e-12, abs=0)
         assert report["std_error"] == pytest.approx(stored["std_error"], rel=1e-12, abs=0)
 
+    def test_oracle_benchmark_report(self, capsys):
+        # The benchmark's oracle run (n = 200): v_n_table against the values
+        # perfbench stores, the flow and the log normalizing constants
+        # against a plain forward recursion.
+        root = os.path.join(os.path.dirname(__file__), os.pardir)
+        with open(os.path.join(root, "perfbench", "reference.json")) as fh:
+            stored = json.load(fh)["v_n_table"]
+        code = main(["oracle", "--config", os.path.join(root, "configs", "two_state.json"),
+                     "--n", "200"])
+        assert code == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["v_n_table"] == pytest.approx(stored[:200], rel=1e-12, abs=0)
+        M = [[0.7, 0.3], [0.4, 0.6]]
+        G = [0.5, 0.9]
+        eta, log_gamma = [0.5, 0.5], 0.0
+        for p in range(201):
+            assert report["etas"][p] == pytest.approx(eta, rel=1e-12, abs=0)
+            assert report["log_gammas"][p] == pytest.approx(log_gamma, rel=1e-12, abs=0)
+            w = [eta[x] * G[x] for x in range(2)]
+            log_gamma += math.log(sum(w))
+            eta = [sum(w[x] * M[x][y] for x in range(2)) / sum(w) for y in range(2)]
+
     def test_hmm_end_to_end(self, model_file, tmp_path):
         cfg = model_file(HMM, "hmm.json")
         obs = tmp_path / "obs.csv"

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import fkclt as fk
-from fkclt.core import DimensionMismatch, InvalidModel, _categorical
+from fkclt.core import DimensionMismatch, InvalidModel, _categorical, _cov_raw
 
 from conftest import random_model
 
@@ -262,6 +262,63 @@ class TestCovOperator:
                     - fk.cov_operator(choice, mu2, step.G, step.M, f1, f2)
                 )
                 assert delta <= FROZEN_C * tv
+
+
+def tile_cov(choice, mu_w, g_v, m_r, v1, v2):
+    """The covariance as one row at a time: kernel rows tiled or mixed, then
+    one matrix-vector product per function and one dot product."""
+    phi = ((mu_w * g_v) / (mu_w * g_v).sum()) @ m_r
+    if choice is fk.KernelChoice.MULTINOMIAL:
+        rows = np.tile(phi, (m_r.shape[0], 1))
+    else:
+        rows = g_v[:, None] * m_r + (1.0 - g_v)[:, None] * phi[None, :]
+    k1, k2, k12 = rows @ v1, rows @ v2, rows @ (v1 * v2)
+    return float(mu_w @ (k12 - k1 * k2))
+
+
+class TestCovBatch:
+    @pytest.mark.parametrize("d", [1, 2, 3, 5])
+    @pytest.mark.parametrize("b", [1, 7])
+    def test_rows_equal_cov_operator_bit_for_bit(self, d, b):
+        rng = np.random.default_rng(1000 * d + b)
+        measures = [fk.ProbMeasure(rng.dirichlet(np.ones(d))) for _ in range(b)]
+        mus = np.array([mu.weights for mu in measures])
+        Gs = [fk.Potential(rng.uniform(1e-3, 1.0, size=d)) for _ in range(b)]
+        Ms = [fk.StochasticKernel(rng.dirichlet(np.ones(d), size=d)) for _ in range(b)]
+        gs = np.array([G.values for G in Gs])
+        ms = np.array([M.rows for M in Ms])
+        f1s, f2s = rng.normal(size=(2, b, d))
+        for choice in fk.KernelChoice:
+            covs = _cov_raw(choice, mus, gs, ms, f1s, f2s)
+            variances = _cov_raw(choice, mus, gs, ms, f1s, f1s)
+            assert covs.shape == variances.shape == (b,)
+            for i in range(b):
+                mu = measures[i]
+                want = fk.cov_operator(choice, mu, Gs[i], Ms[i], f1s[i], f2s[i])
+                assert covs[i] == want
+                assert want == tile_cov(choice, mus[i], gs[i], ms[i], f1s[i], f2s[i])
+                want = fk.cov_operator(choice, mu, Gs[i], Ms[i], f1s[i], f1s[i])
+                assert variances[i] == want
+                assert want == tile_cov(choice, mus[i], gs[i], ms[i], f1s[i], f1s[i])
+
+    def test_transport_rejects_large_potential_everywhere(self, env_chain):
+        mu, _, M = make_pieces()
+        G = fk.Potential([0.5, 1.5])
+        with pytest.raises(InvalidModel, match="potential values <= 1"):
+            fk.cov_operator(fk.KernelChoice.TRANSPORT, mu, G, M, [1.0, 2.0], [1.0, 2.0])
+        model = fk.homogeneous_model(M, G, mu)
+        fk.v_n(model, fk.KernelChoice.TRANSPORT, 1)  # no covariance term yet
+        for n in (2, 3, 50):
+            with pytest.raises(InvalidModel, match="potential values <= 1"):
+                fk.v_n(model, fk.KernelChoice.TRANSPORT, n)
+        chain = fk.EnvironmentChain(
+            transition=env_chain.transition,
+            stationary=env_chain.stationary,
+            family=((M, fk.Potential([0.5, 0.9])), (M, G)),
+        )
+        path = fk.EnvPath(np.ones(20, dtype=np.int64), -10)
+        with pytest.raises(InvalidModel, match="potential values <= 1"):
+            fk.c_of_y(chain, fk.KernelChoice.TRANSPORT, path, 1, 3)
 
 
 class TestDobrushin:

@@ -217,6 +217,106 @@ class TestVn:
                 assert fk.v_n(model, choice, 7) >= 0.0
 
 
+def reference_v_n(model, choice, n):
+    """v_n one term at a time, on plain numpy: the flow step by step (reweight,
+    kernel, clip at 0, divide by the sum), the eta_q-mean-one backward
+    columns, each covariance term from its own tiled or mixed kernel rows,
+    and a compensated sum in index order."""
+    if n == 0:
+        return 0.0
+    etas = [model.eta0.weights]
+    for p in range(n):
+        step = model.step(p)
+        w = etas[p] * step.G.values
+        w = np.clip((w / w.sum()) @ step.M.rows, 0.0, None)
+        etas.append(w / w.sum())
+    ubars = [None] * n
+    u = np.ones(model.d)
+    for q in range(n - 1, -1, -1):
+        step = model.step(q)
+        u = (step.G.values[:, None] * step.M.rows) @ u
+        u = u / float(etas[q] @ u)
+        ubars[q] = u
+    terms = [float(etas[0] @ ((ubars[0] - 1.0) * (ubars[0] - 1.0)))]
+    for q in range(1, n):
+        step = model.step(q - 1)
+        g, m, f = step.G.values, step.M.rows, ubars[q]
+        w = etas[q - 1] * g
+        phi = (w / w.sum()) @ m
+        if choice is MULTI:
+            rows = np.tile(phi, (model.d, 1))
+        else:
+            rows = g[:, None] * m + (1.0 - g)[:, None] * phi[None, :]
+        k1, k2, k12 = rows @ f, rows @ f, rows @ (f * f)
+        terms.append(float(etas[q - 1] @ (k12 - k1 * k2)))
+    total, c = 0.0, 0.0
+    for x in terms:
+        y = x - c
+        t = total + y
+        c = (t - total) - y
+        total = t
+    return max(total, 0.0)
+
+
+def random_explicit_model(rng, d, steps):
+    return fk.explicit_model(
+        [
+            fk.FKStep(
+                fk.Potential(rng.uniform(1e-3, 1.0, size=d)),
+                fk.StochasticKernel(rng.dirichlet(np.ones(d), size=d)),
+            )
+            for _ in range(steps)
+        ],
+        fk.ProbMeasure(rng.dirichlet(np.ones(d))),
+    )
+
+
+class TestVnReference:
+    @pytest.mark.parametrize("choice", list(fk.KernelChoice))
+    def test_two_state_bit_for_bit(self, two_state, choice):
+        # These bits feed the pinned benchmark reports.
+        for n in range(201):
+            assert fk.v_n(two_state, choice, n) == reference_v_n(two_state, choice, n)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 5])
+    def test_random_models(self, d):
+        rng = np.random.default_rng(300 + d)
+        models = [random_model(rng, d, transport_safe=True) for _ in range(3)]
+        models += [random_explicit_model(rng, d, 40) for _ in range(3)]
+        for model in models:
+            for choice in fk.KernelChoice:
+                for n in (0, 1, 2, 3, 7, 40):
+                    got, want = fk.v_n(model, choice, n), reference_v_n(model, choice, n)
+                    assert abs(got - want) <= 1e-13 * abs(want)
+
+
+class TestLongHorizon:
+    # Potentials near 0 and at 1: the flow, the route check and v_n must
+    # stay finite over long horizons.
+    @pytest.mark.parametrize("G", [[0.5, 0.9], [1e-12, 1.0], [1e-12, 2e-12]])
+    def test_long_horizon_edges(self, G):
+        M = fk.StochasticKernel([[0.7, 0.3], [0.4, 0.6]])
+        model = fk.homogeneous_model(M, fk.Potential(G), fk.ProbMeasure([0.5, 0.5]))
+        n = 10**4
+        sol = fk.propagate(model, n)  # raises ConsistencyError if the routes disagree
+        assert sol.n == n
+        etas = np.array([eta.weights for eta in sol.etas])
+        assert np.all(np.isfinite(etas)) and np.all(etas >= 0.0)
+        assert np.allclose(etas.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+        assert all(math.isfinite(x) for x in sol.log_gammas)
+        # The log-domain product of potential means against an unnormalized
+        # forward recursion, rescaled by hand.
+        vec, log_scale = np.array([0.5, 0.5]), 0.0
+        for _ in range(n):
+            vec = (vec * np.array(G)) @ M.rows
+            log_scale += math.log(vec.sum())
+            vec = vec / vec.sum()
+        assert abs(sol.log_gammas[-1] - log_scale) <= 1e-10 * abs(log_scale)
+        for choice in fk.KernelChoice:
+            value = fk.v_n(model, choice, 2000)
+            assert math.isfinite(value) and value >= 0.0
+
+
 class TestFixedPoint:
     def test_rank_one_converges_in_one_step(self):
         r = [0.25, 0.75]

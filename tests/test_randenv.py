@@ -324,6 +324,21 @@ class TestCofY:
         with pytest.raises(WindowTooShort):
             fk.c_of_y(env_chain, MULTI, short, 1, depth=6)
 
+    def test_underflowing_product_is_rejected(self, env_chain):
+        # Potentials of 1e-300 make the pairwise products underflow to zero,
+        # so the backward limits are 0/0; the contribution must not pass as
+        # a number.
+        tiny = fk.Potential([1e-300, 1e-300])
+        chain = fk.EnvironmentChain(
+            transition=env_chain.transition,
+            stationary=env_chain.stationary,
+            family=(env_chain.family[0], (env_chain.kernel(1), tiny)),
+        )
+        path = fk.EnvPath(np.ones(20, dtype=np.int64), -10)
+        for choice in fk.KernelChoice:
+            with np.errstate(all="ignore"), pytest.raises(InvalidModel):
+                fk.c_of_y(chain, choice, path, 1, depth=3)
+
 
 class TestReferenceLoops:
     """The product forms against the step-by-step loops they replaced."""
