@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -244,6 +245,14 @@ class FKStep:
         if self.G.d != self.M.d:
             raise DimensionMismatch("potential and kernel dimensions differ")
 
+    @cached_property
+    def transport_parts(self) -> tuple:
+        """``(diag(G) M, 1 - G)``, the part of the transport kernel rows that
+        no empirical measure moves, computed on first use and kept.  Raises
+        ``InvalidModel`` (on every use) when a potential value exceeds 1."""
+        gm, rest = _transport_parts_raw(self.G.values, self.M.rows)
+        return _frozen(gm), _frozen(rest)
+
 
 @dataclass(frozen=True)
 class HomogeneousSchedule:
@@ -417,6 +426,24 @@ def _chain_path(cum0: np.ndarray, cum_rows: np.ndarray, u: np.ndarray) -> np.nda
     return states
 
 
+def _transport_parts_raw(g_v: np.ndarray, m_r: np.ndarray) -> tuple:
+    """The step's fixed part of the transport rows: ``(diag(G) M, 1 - G)``,
+    (..., d, d) and (..., d).  The transport kernel keeps a particle with
+    probability G(x), so every potential value must be <= 1."""
+    if g_v.max() > 1.0:
+        raise InvalidModel(
+            f"transport kernel needs potential values <= 1, max entry is {float(g_v.max())!r}"
+        )
+    return g_v[..., :, None] * m_r, 1.0 - g_v
+
+
+def _transport_rows_raw(parts: tuple, phi: np.ndarray) -> np.ndarray:
+    """Transport rows ``G(x) M(x, .) + (1 - G(x)) phi(.)`` from the fixed
+    parts of ``_transport_parts_raw`` and the measure's ``phi``."""
+    gm, rest = parts
+    return gm + rest[..., :, None] * phi[..., None, :]
+
+
 def _kernel_rows_raw(
     choice: KernelChoice, mu_w: np.ndarray, g_v: np.ndarray, m_r: np.ndarray
 ) -> np.ndarray:
@@ -426,11 +453,7 @@ def _kernel_rows_raw(
     phi = _phi_raw(mu_w, g_v, m_r)
     if choice is KernelChoice.MULTINOMIAL:
         return phi[..., None, :].repeat(m_r.shape[-1], axis=-2)
-    if g_v.max() > 1.0:
-        raise InvalidModel(
-            f"transport kernel needs potential values <= 1, max entry is {float(g_v.max())!r}"
-        )
-    return g_v[..., :, None] * m_r + (1.0 - g_v)[..., :, None] * phi[..., None, :]
+    return _transport_rows_raw(_transport_parts_raw(g_v, m_r), phi)
 
 
 def _cov_raw(

@@ -7,6 +7,14 @@ with one uniform per draw; the empirical measure is recomputed from state
 counts at every step.  A run returns only what its callers read
 (``RunRecord``): the seed, the replicate index, and the log
 normalizing-constant estimate, raw and normalized by the exact value.
+
+Validated at the public edges, raw inside: ``ParticleSystem(...)`` and
+``init_particles`` check the states, and ``step`` checks that system and
+model share ``d``.  The successor ``step`` builds is not checked again,
+since ``_categorical`` draws int64 states in [0, d-1].  A transport row is
+``G(x) M(x, .) + (1 - G(x)) phi(.)``: its fixed part ``(diag(G) M, 1 - G)``,
+with the ``G <= 1`` check, is computed once per ``FKStep``
+(``FKStep.transport_parts``); each generation adds only ``(1 - G) phi``.
 """
 
 from __future__ import annotations
@@ -25,8 +33,8 @@ from .core import (
     KernelChoice,
     ProbMeasure,
     _categorical,
-    _kernel_rows_raw,
     _phi_raw,
+    _transport_rows_raw,
     as_values,
 )
 
@@ -85,6 +93,18 @@ class ParticleSystem:
         states.flags.writeable = False
         self.states = states
 
+    @classmethod
+    def _checked(
+        cls, states: np.ndarray, step: int, stream: RngStream, d: int
+    ) -> "ParticleSystem":
+        """Wrap the states of a successor generation without checking them
+        again: ``_categorical`` draws int64 states in [0, d-1] by
+        construction."""
+        out = object.__new__(cls)
+        states.flags.writeable = False
+        out.states, out.step, out.stream, out.d = states, step, stream, d
+        return out
+
     @property
     def N(self) -> int:
         return self.states.size
@@ -127,16 +147,16 @@ def step(system: ParticleSystem, model: FKModel, choice: KernelChoice) -> Partic
     if system.d != model.d:
         raise DimensionMismatch("system and model dimensions differ")
     fkstep = model.step(system.step)
-    counts = np.bincount(system.states, minlength=system.d)
-    mu_w = counts / system.N
-    G, M = fkstep.G.values, fkstep.M.rows
+    states = system.states
+    mu_w = np.bincount(states, minlength=system.d) / states.size
+    phi = _phi_raw(mu_w, fkstep.G.values, fkstep.M.rows)
     if choice is KernelChoice.MULTINOMIAL:
-        cumulative, rows = np.cumsum(_phi_raw(mu_w, G, M)), None
+        cumulative, rows = phi.cumsum(), None
     else:
-        cumulative = np.cumsum(_kernel_rows_raw(choice, mu_w, G, M), axis=1)
-        rows = system.states
-    states = _categorical(cumulative, system.stream.uniforms(system.N), rows)
-    return ParticleSystem(states, system.step + 1, system.stream, system.d)
+        cumulative = _transport_rows_raw(fkstep.transport_parts, phi).cumsum(axis=1)
+        rows = states
+    drawn = _categorical(cumulative, system.stream.uniforms(states.size), rows)
+    return ParticleSystem._checked(drawn, system.step + 1, system.stream, system.d)
 
 
 def run(
@@ -160,8 +180,8 @@ def run(
     system = init_particles(model, N, seed)
     log_gamma = 0.0
     for p in range(n):
-        g_values = model.step(p).G.values
-        mean_p = float(np.mean(g_values[system.states]))
+        # The sum and divide that np.mean does, without its wrapper.
+        mean_p = float(model.step(p).G.values[system.states].sum() / N)
         if mean_p <= 0.0:
             raise InvalidModel(
                 f"empirical potential mean vanished at step {p}; "

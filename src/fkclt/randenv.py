@@ -168,20 +168,29 @@ def sample_env_path(chain: EnvironmentChain, past: int, horizon: int, seed: int)
 @dataclass(frozen=True)
 class EnvironmentSchedule:
     """Model schedule read off an environment path: step p reweights by the
-    potential of the state at p and mutates by the kernel of the state at p+1."""
+    potential of the state at p and mutates by the kernel of the state at p+1.
+
+    Every (state, next state) pair's ``FKStep`` is built once, here, so a
+    step is a path-window check and a table read, and each pair's transport
+    parts are computed once per schedule."""
 
     chain: EnvironmentChain
     path: EnvPath
+
+    def __post_init__(self) -> None:
+        chain = self.chain
+        states = range(chain.env_size)
+        table = tuple(
+            tuple(FKStep(chain.potential(s), chain.kernel(t)) for t in states) for s in states
+        )
+        object.__setattr__(self, "_steps", table)
 
     @property
     def d(self) -> int:
         return self.chain.state_dim
 
     def step(self, p: int) -> FKStep:
-        return FKStep(
-            self.chain.potential(self.path.state(p)),
-            self.chain.kernel(self.path.state(p + 1)),
-        )
+        return self._steps[self.path.state(p)][self.path.state(p + 1)]
 
 
 def env_model(

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -53,3 +55,32 @@ def random_model(rng: np.random.Generator, d: int, transport_safe: bool = False)
     G = fk.Potential(rng.uniform(0.1, high, size=d))
     eta0 = fk.ProbMeasure(rng.dirichlet(np.ones(d)))
     return fk.homogeneous_model(M, G, eta0)
+
+
+def random_explicit_model(rng: np.random.Generator, d: int, steps: int) -> fk.FKModel:
+    """Random explicit schedule of ``steps`` steps, potentials in [1e-3, 1]."""
+    return fk.explicit_model(
+        [
+            fk.FKStep(
+                fk.Potential(rng.uniform(1e-3, 1.0, size=d)),
+                fk.StochasticKernel(rng.dirichlet(np.ones(d), size=d)),
+            )
+            for _ in range(steps)
+        ],
+        fk.ProbMeasure(rng.dirichlet(np.ones(d))),
+    )
+
+
+def random_chain(rng: np.random.Generator, env_size: int, d: int, floor: float):
+    """Random environment whose potentials reach down to ``floor``."""
+    transition = fk.StochasticKernel(rng.dirichlet(np.ones(env_size), size=env_size))
+    family = []
+    for _ in range(env_size):
+        G = 10.0 ** rng.uniform(math.log10(floor), 0.0, size=d)
+        G[rng.integers(d)] = floor
+        family.append((fk.StochasticKernel(rng.dirichlet(np.ones(d), size=d)), fk.Potential(G)))
+    return fk.EnvironmentChain(
+        transition=transition,
+        stationary=fk.stationary_distribution(transition),
+        family=tuple(family),
+    )

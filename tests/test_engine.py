@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 import fkclt as fk
-from fkclt.core import InvalidModel
+from fkclt.core import InvalidModel, _categorical
 from fkclt.engine import derive_seed
+
+from conftest import random_chain, random_explicit_model, random_model
 
 MULTI = fk.KernelChoice.MULTINOMIAL
 TRANS = fk.KernelChoice.TRANSPORT
@@ -141,6 +143,111 @@ class TestStep:
             bound = step0.G.values[x] * step0.M.rows[x, x]
             se = math.sqrt(rate * (1 - rate) / totals[x])
             assert rate >= bound - 3 * se
+
+
+def reference_run(model, N, n, choice, seed):
+    """log gamma_N by the plain loop: np.mean of the potential, a validated
+    ParticleSystem per generation, np.cumsum, and every kernel row built
+    from scratch each generation."""
+    stream = fk.RngStream(seed)
+    states = _categorical(np.cumsum(model.eta0.weights), stream.uniforms(N))
+    system = fk.ParticleSystem(states, 0, stream, model.d)
+    log_gamma = 0.0
+    for p in range(n):
+        step = model.step(p)
+        g, m = step.G.values, step.M.rows
+        log_gamma += math.log(float(np.mean(g[system.states])))
+        mu_w = np.bincount(system.states, minlength=model.d) / N
+        w = mu_w * g
+        phi = (w / w.sum()) @ m
+        if choice is MULTI:
+            cumulative, rows = np.cumsum(phi), None
+        else:
+            if g.max() > 1.0:
+                raise InvalidModel("transport kernel needs potential values <= 1")
+            kernel = g[:, None] * m + (1.0 - g)[:, None] * phi[None, :]
+            cumulative, rows = np.cumsum(kernel, axis=1), system.states
+        states = _categorical(cumulative, stream.uniforms(N), rows)
+        system = fk.ParticleSystem(states, p + 1, stream, model.d)
+    return log_gamma
+
+
+class TestRunReference:
+    @pytest.mark.parametrize("d", [1, 2, 3, 5])
+    def test_bit_for_bit(self, d):
+        rng = np.random.default_rng(500 + d)
+        chain = random_chain(rng, 3, d, floor=1e-3)
+        models = {
+            "homogeneous": random_model(rng, d, transport_safe=True),
+            "explicit": random_explicit_model(rng, d, 17),
+            "environment": fk.env_model(chain, fk.sample_env_path(chain, 0, 18, seed=d)),
+        }
+        for kind, model in models.items():
+            for choice in fk.KernelChoice:
+                for N in (1, 7, 64):
+                    for n in (0, 1, 17):
+                        for seed in (3, 2**40 + 1):
+                            got = fk.run(model, N, n, choice, seed).log_gamma_N
+                            assert got == reference_run(model, N, n, choice, seed), (
+                                kind, choice, N, n, seed
+                            )
+
+
+class TestEdges:
+    @pytest.mark.parametrize(
+        "states, message",
+        [
+            ([0, -1, 1], "out of range"),
+            ([0, 3, 1], "out of range"),
+            ([], "at least one particle"),
+            ([[0, 1], [1, 0]], "at least one particle"),
+        ],
+    )
+    def test_particle_system_rejects_bad_states(self, states, message):
+        with pytest.raises(InvalidModel, match=message):
+            fk.ParticleSystem(states, 0, fk.RngStream(1), 3)
+
+    @pytest.mark.parametrize("choice", [MULTI, TRANS])
+    def test_successor_invariants(self, two_state, choice):
+        system = fk.init_particles(two_state, 50, seed=8)
+        for p in range(1, 4):
+            position = system.stream.position
+            moved = fk.step(system, two_state, choice)
+            assert moved.states.dtype == np.int64
+            assert not moved.states.flags.writeable
+            assert moved.states.shape == (50,)
+            assert 0 <= moved.states.min() and moved.states.max() < 2
+            assert moved.step == p and moved.d == 2
+            assert moved.stream is system.stream
+            assert moved.stream.position == position + 50
+            system = moved
+
+    def test_transport_parts_are_the_step_split(self):
+        step = fk.FKStep(fk.Potential([0.2, 1.0]), fk.StochasticKernel([[0.7, 0.3], [0.4, 0.6]]))
+        gm, rest = step.transport_parts
+        assert step.transport_parts[0] is gm
+        assert not gm.flags.writeable and not rest.flags.writeable
+        np.testing.assert_array_equal(gm, step.G.values[:, None] * step.M.rows)
+        np.testing.assert_array_equal(rest, 1.0 - step.G.values)
+
+    def test_late_potential_above_one_raises_at_its_step(self):
+        M = fk.StochasticKernel([[0.7, 0.3], [0.4, 0.6]])
+        low, high = fk.Potential([0.5, 0.9]), fk.Potential([0.5, 1.5])
+        model = fk.explicit_model(
+            [fk.FKStep(low, M), fk.FKStep(low, M), fk.FKStep(high, M)],
+            fk.ProbMeasure([0.5, 0.5]),
+        )
+        system = fk.init_particles(model, 16, seed=2)
+        for _ in range(2):
+            system = fk.step(system, model, TRANS)
+        for _ in range(2):  # a failed check is not cached away
+            with pytest.raises(InvalidModel, match="<= 1"):
+                fk.step(system, model, TRANS)
+        assert system.stream.position == 3 * 16
+        with pytest.raises(InvalidModel, match="<= 1"):
+            fk.run(model, 16, 3, TRANS, seed=2)
+        fk.run(model, 16, 2, TRANS, seed=2)
+        fk.run(model, 16, 3, MULTI, seed=2)
 
 
 class TestRun:

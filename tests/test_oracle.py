@@ -8,7 +8,7 @@ import pytest
 import fkclt as fk
 from fkclt.core import InvalidModel
 
-from conftest import random_model
+from conftest import random_explicit_model, random_model
 
 
 MULTI = fk.KernelChoice.MULTINOMIAL
@@ -256,19 +256,6 @@ def reference_v_n(model, choice, n):
         c = (t - total) - y
         total = t
     return max(total, 0.0)
-
-
-def random_explicit_model(rng, d, steps):
-    return fk.explicit_model(
-        [
-            fk.FKStep(
-                fk.Potential(rng.uniform(1e-3, 1.0, size=d)),
-                fk.StochasticKernel(rng.dirichlet(np.ones(d), size=d)),
-            )
-            for _ in range(steps)
-        ],
-        fk.ProbMeasure(rng.dirichlet(np.ones(d))),
-    )
 
 
 class TestVnReference:

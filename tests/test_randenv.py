@@ -10,6 +10,8 @@ from fkclt.core import InvalidModel
 from fkclt.oracle import _ordered_products
 from fkclt.randenv import WindowTooShort, EnvironmentSchedule
 
+from conftest import random_chain
+
 MULTI = fk.KernelChoice.MULTINOMIAL
 
 
@@ -18,21 +20,6 @@ def single_state_chain(M, G):
         transition=fk.StochasticKernel([[1.0]]),
         stationary=fk.ProbMeasure([1.0]),
         family=((M, G),),
-    )
-
-
-def random_chain(rng, env_size, d, floor):
-    """Random environment whose potentials reach down to ``floor``."""
-    transition = fk.StochasticKernel(rng.dirichlet(np.ones(env_size), size=env_size))
-    family = []
-    for _ in range(env_size):
-        G = 10.0 ** rng.uniform(math.log10(floor), 0.0, size=d)
-        G[rng.integers(d)] = floor
-        family.append((fk.StochasticKernel(rng.dirichlet(np.ones(d), size=d)), fk.Potential(G)))
-    return fk.EnvironmentChain(
-        transition=transition,
-        stationary=fk.stationary_distribution(transition),
-        family=tuple(family),
     )
 
 
@@ -169,13 +156,21 @@ class TestPaths:
     def test_schedule_reads_the_path(self, env_chain):
         path = fk.sample_env_path(env_chain, past=0, horizon=10, seed=4)
         sched = EnvironmentSchedule(env_chain, path)
-        s0 = sched.step(3)
-        np.testing.assert_array_equal(
-            s0.G.values, env_chain.potential(path.state(3)).values
-        )
-        np.testing.assert_array_equal(
-            s0.M.rows, env_chain.kernel(path.state(4)).rows
-        )
+        by_pair = {}
+        for p in range(10):
+            step = sched.step(p)
+            np.testing.assert_array_equal(
+                step.G.values, env_chain.potential(path.state(p)).values
+            )
+            np.testing.assert_array_equal(
+                step.M.rows, env_chain.kernel(path.state(p + 1)).rows
+            )
+            # One stored step per (state, next state) pair.
+            assert by_pair.setdefault((path.state(p), path.state(p + 1)), step) is step
+        assert len(by_pair) > 1
+        for p in (-1, 10):
+            with pytest.raises(WindowTooShort):
+                sched.step(p)
 
 
 class TestEtaInfEnv:
