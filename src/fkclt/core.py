@@ -234,9 +234,22 @@ class KernelChoice(enum.Enum):
             raise InvalidModel(f"unknown kernel choice {name!r}") from None
 
 
+# Most sampling tables one ``FKStep`` keeps.  There are C(N+d-1, d-1) count
+# vectors per kernel, so at large N or d a count vector seldom comes back and
+# a kept table is seldom read again.  Past the cap, tables are built and not
+# kept, which bounds a step's memory (about 2 MB at d = 5).
+SAMPLING_TABLES_MAX = 4096
+
+
 @dataclass(frozen=True)
 class FKStep:
-    """One schedule entry: reweight by ``G``, then move through ``M``."""
+    """One schedule entry: reweight by ``G``, then move through ``M``.
+
+    Work derived from ``(G, M)`` is kept on the step once computed: the
+    transport parts, and the sampling tables of ``sampling_table``.  None of
+    it is pickled, so a step pickles to the same bytes before and after use
+    and rebuilds what it needs.  Threads that share a step may build one
+    table twice; the two builds are equal."""
 
     G: Potential
     M: StochasticKernel
@@ -244,6 +257,10 @@ class FKStep:
     def __post_init__(self) -> None:
         if self.G.d != self.M.d:
             raise DimensionMismatch("potential and kernel dimensions differ")
+        object.__setattr__(self, "_tables", {})
+
+    def __reduce__(self):
+        return FKStep, (self.G, self.M)
 
     @cached_property
     def transport_parts(self) -> tuple:
@@ -252,6 +269,29 @@ class FKStep:
         ``InvalidModel`` (on every use) when a potential value exceeds 1."""
         gm, rest = _transport_parts_raw(self.G.values, self.M.rows)
         return _frozen(gm), _frozen(rest)
+
+    def sampling_table(self, choice: KernelChoice, counts: np.ndarray) -> np.ndarray:
+        """The CDF table ``_categorical`` draws a generation from, given the
+        generation's state counts (d,) int64: the CDF of ``phi`` (d,) for the
+        multinomial kernel, the CDFs of the d transport rows (d, d) for the
+        transport kernel.  The empirical measure is ``counts / N`` with
+        ``N = counts.sum()``, so the table is a function of ``(choice,
+        counts)`` and is kept under that key, up to ``SAMPLING_TABLES_MAX``
+        tables; a kept table is the array a rebuild would give, bit for bit.
+        A build that raises (a transport potential above 1) keeps nothing,
+        so it raises again on every use."""
+        key = (choice, counts.tobytes())
+        table = self._tables.get(key)
+        if table is None:
+            phi = _phi_raw(counts / counts.sum(), self.G.values, self.M.rows)
+            if choice is KernelChoice.MULTINOMIAL:
+                table = phi.cumsum()
+            else:
+                table = _transport_rows_raw(self.transport_parts, phi).cumsum(axis=1)
+            table.flags.writeable = False
+            if len(self._tables) < SAMPLING_TABLES_MAX:
+                self._tables[key] = table
+        return table
 
 
 @dataclass(frozen=True)

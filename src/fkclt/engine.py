@@ -3,8 +3,8 @@
 Each particle moves independently, conditionally on the previous
 generation, by a draw from its own kernel row evaluated at the current
 empirical measure.  Categorical draws go through ``core._categorical``
-with one uniform per draw; the empirical measure is recomputed from state
-counts at every step.  A run returns only what its callers read
+with one uniform per draw; the state counts are recounted at every step.
+A run returns only what its callers read
 (``RunRecord``): the seed, the replicate index, and the log
 normalizing-constant estimate, raw and normalized by the exact value.
 
@@ -15,6 +15,13 @@ since ``_categorical`` draws int64 states in [0, d-1].  A transport row is
 ``G(x) M(x, .) + (1 - G(x)) phi(.)``: its fixed part ``(diag(G) M, 1 - G)``,
 with the ``G <= 1`` check, is computed once per ``FKStep``
 (``FKStep.transport_parts``); each generation adds only ``(1 - G) phi``.
+
+The rows depend on the particles only through the state counts m, since
+the empirical measure is m/N.  So ``step`` asks its ``FKStep`` for the
+generation's CDF table by (kernel, m) (``FKStep.sampling_table``), which
+builds a table once and keeps it, up to ``core.SAMPLING_TABLES_MAX`` per
+step; a kept table equals a rebuilt one bit for bit.  ``run``'s potential
+mean is still summed over the particle array, in particle order.
 """
 
 from __future__ import annotations
@@ -34,7 +41,6 @@ from .core import (
     ProbMeasure,
     _categorical,
     _phi_raw,
-    _transport_rows_raw,
     as_values,
 )
 
@@ -146,15 +152,10 @@ def step(system: ParticleSystem, model: FKModel, choice: KernelChoice) -> Partic
     """
     if system.d != model.d:
         raise DimensionMismatch("system and model dimensions differ")
-    fkstep = model.step(system.step)
     states = system.states
-    mu_w = np.bincount(states, minlength=system.d) / states.size
-    phi = _phi_raw(mu_w, fkstep.G.values, fkstep.M.rows)
-    if choice is KernelChoice.MULTINOMIAL:
-        cumulative, rows = phi.cumsum(), None
-    else:
-        cumulative = _transport_rows_raw(fkstep.transport_parts, phi).cumsum(axis=1)
-        rows = states
+    counts = np.bincount(states, minlength=system.d)
+    cumulative = model.step(system.step).sampling_table(choice, counts)
+    rows = None if choice is KernelChoice.MULTINOMIAL else states
     drawn = _categorical(cumulative, system.stream.uniforms(states.size), rows)
     return ParticleSystem._checked(drawn, system.step + 1, system.stream, system.d)
 

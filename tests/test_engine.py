@@ -1,12 +1,15 @@
 from __future__ import annotations
 
 import math
+import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fkclt as fk
-from fkclt.core import InvalidModel, _categorical
+from fkclt.core import SAMPLING_TABLES_MAX, InvalidModel, _categorical
 from fkclt.engine import derive_seed
 
 from conftest import random_chain, random_explicit_model, random_model
@@ -193,6 +196,133 @@ class TestRunReference:
                             )
 
 
+def _models(d):
+    """A homogeneous, an explicit and an environment model of dimension d,
+    built afresh from fixed seeds on every call."""
+    rng = np.random.default_rng(700 + d)
+    chain = random_chain(rng, 3, d, floor=1e-3)
+    return {
+        "homogeneous": random_model(rng, d, transport_safe=True),
+        "explicit": random_explicit_model(rng, d, 17),
+        "environment": fk.env_model(chain, fk.sample_env_path(chain, 0, 18, seed=d)),
+    }
+
+
+class TestSamplingTableMemo:
+    """The per-step sampling tables are kept by (kernel, state counts); a run
+    on a warm model must give the bits of the uncached loop."""
+
+    # Kernels and particle counts interleaved on one model object, so every
+    # run after the first reads tables that earlier runs built.
+    SEQUENCE = [(7, MULTI), (64, TRANS), (7, MULTI), (7, TRANS), (64, MULTI), (1, TRANS)]
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 5])
+    def test_warm_and_cold_runs_match_the_reference(self, d):
+        for kind, model in _models(d).items():
+            for round_ in range(2):
+                for N, choice in self.SEQUENCE:
+                    seed = 11 * N + round_
+                    want = reference_run(model, N, 17, choice, seed)
+                    assert fk.run(model, N, 17, choice, seed).log_gamma_N == want, (
+                        kind, round_, N, choice
+                    )
+                    cold = _models(d)[kind]
+                    assert fk.run(cold, N, 17, choice, seed).log_gamma_N == want
+
+    def test_tables_are_kept_per_step_and_kernel(self):
+        model = _models(3)["explicit"]
+        fk.run(model, 5, 3, MULTI, seed=1)
+        fk.run(model, 5, 3, TRANS, seed=1)
+        for p in range(3):
+            shapes = sorted(t.shape for t in model.step(p)._tables.values())
+            assert shapes == [(3,), (3, 3)]
+            assert all(not t.flags.writeable for t in model.step(p)._tables.values())
+        assert not model.step(3)._tables
+
+    def test_table_count_stays_at_its_cap(self):
+        # d = 5 at N = 1000 gives a new count vector nearly every step, so
+        # 45 runs of 100 steps ask for more tables than the cap.
+        rng = np.random.default_rng(9)
+        model = random_model(rng, 5, transport_safe=True)
+        for seed in range(45):
+            fk.run(model, 1000, 100, TRANS if seed % 2 else MULTI, seed)
+        assert len(model.step(0)._tables) == SAMPLING_TABLES_MAX
+        for choice in fk.KernelChoice:
+            got = fk.run(model, 1000, 20, choice, seed=99).log_gamma_N
+            assert got == reference_run(model, 1000, 20, choice, 99)
+        assert len(model.step(0)._tables) == SAMPLING_TABLES_MAX
+
+    @pytest.mark.parametrize("kind", ["homogeneous", "explicit", "environment"])
+    def test_pickled_bytes_do_not_change_with_use(self, kind):
+        model = _models(2)[kind]
+        before = pickle.dumps(model)
+        for choice in fk.KernelChoice:
+            fk.run(model, 16, 17, choice, seed=5)
+        assert model.step(0)._tables
+        assert pickle.dumps(model) == before
+        copy = pickle.loads(before)
+        assert not copy.step(0)._tables
+        warm = fk.run(model, 16, 17, TRANS, seed=5).log_gamma_N
+        assert fk.run(copy, 16, 17, TRANS, seed=5).log_gamma_N == warm
+
+
+# Steps every property example may schedule: they keep their sampling
+# tables from one example to the next, so later examples run on a warm memo.
+_SHARED_STEPS = {}
+
+
+def _shared_steps(d):
+    if d not in _SHARED_STEPS:
+        rng = np.random.default_rng(900 + d)
+        _SHARED_STEPS[d] = [
+            fk.FKStep(
+                fk.Potential(10.0 ** rng.uniform(-12.0, 0.0, size=d)),
+                fk.StochasticKernel(rng.dirichlet(np.ones(d), size=d)),
+            )
+            for _ in range(3)
+        ]
+    return _SHARED_STEPS[d]
+
+
+@st.composite
+def _small_runs(draw):
+    """A random small model (d <= 4, potentials in [1e-12, 1], up to 20
+    steps drawn from the shared steps and one fresh step) and up to three
+    runs of it (N <= 40, either kernel)."""
+    d = draw(st.integers(1, 4))
+    unit = st.floats(0.0, 1.0)
+    weights = np.array(draw(st.lists(unit, min_size=d * d, max_size=d * d))).reshape(d, d)
+    weights[weights.sum(axis=1) == 0.0] = 1.0
+    potential = draw(st.lists(st.floats(1e-12, 1.0), min_size=d, max_size=d))
+    rows = weights / weights.sum(axis=1, keepdims=True)
+    fresh = fk.FKStep(fk.Potential(potential), fk.StochasticKernel(rows))
+    pool = _shared_steps(d) + [fresh]
+    n = draw(st.integers(0, 20))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=max(n, 1), max_size=max(n, 1)))
+    eta0 = np.array(draw(st.lists(unit, min_size=d, max_size=d))) + 1e-3
+    model = fk.explicit_model([pool[i] for i in picks], fk.ProbMeasure(eta0 / eta0.sum()))
+    runs = draw(
+        st.lists(
+            st.tuples(st.integers(1, 40), st.sampled_from(list(fk.KernelChoice)),
+                      st.integers(0, 2**64 - 1)),
+            min_size=1,
+            max_size=3,
+        )
+    )
+    return model, n, runs
+
+
+class TestRunProperty:
+    @settings(max_examples=150, derandomize=True, database=None, deadline=None)
+    @given(_small_runs())
+    def test_run_equals_the_uncached_loop(self, case):
+        model, n, runs = case
+        for N, choice, seed in runs:
+            assert fk.run(model, N, n, choice, seed).log_gamma_N == reference_run(
+                model, N, n, choice, seed
+            )
+
+
 class TestEdges:
     @pytest.mark.parametrize(
         "states, message",
@@ -248,6 +378,28 @@ class TestEdges:
             fk.run(model, 16, 3, TRANS, seed=2)
         fk.run(model, 16, 2, TRANS, seed=2)
         fk.run(model, 16, 3, MULTI, seed=2)
+        # Multinomial tables of the failing step are kept; the transport
+        # check must still run, on every run of the same model object.
+        assert model.step(2)._tables
+        for seed in range(3):
+            with pytest.raises(InvalidModel, match="<= 1"):
+                fk.run(model, 16, 3, TRANS, seed)
+
+    def test_vanishing_potential_mean_raises_on_every_run(self):
+        # A validated Potential is positive, so its empirical mean cannot
+        # vanish; build one that skips the checks to reach the engine's own.
+        M = fk.StochasticKernel([[0.7, 0.3], [0.4, 0.6]])
+        zero = object.__new__(fk.Potential)
+        object.__setattr__(zero, "values", np.zeros(2))
+        model = fk.explicit_model(
+            [fk.FKStep(fk.Potential([0.5, 0.9]), M), fk.FKStep(zero, M)],
+            fk.ProbMeasure([0.5, 0.5]),
+        )
+        for seed in range(3):
+            for choice in fk.KernelChoice:
+                fk.run(model, 8, 1, choice, seed)
+                with pytest.raises(InvalidModel, match="vanished at step 1"):
+                    fk.run(model, 8, 2, choice, seed)
 
 
 class TestRun:
