@@ -2,16 +2,22 @@
 weighted semigroups, contraction diagnostics and spectral quantities.
 
 Everything here is deterministic linear algebra on small dense vectors.
-Backward semigroup recursions renormalize at every step, so no quantity
-underflows even for long horizons; normalizations cancel in all the
-reported ratios.
+Products of the weighted factors ``Q_q = diag(G_q) M_{q+1}`` are rescaled
+as they are formed, so no quantity underflows even for long horizons;
+normalizations cancel in all the reported ratios.
 
-Raw arrays inside, validated objects at the public edges: one private
-routine, ``_measure_flow``, runs the measure recursion on a (n+1, d) array
-and checks the whole flow once at its end.  ``propagate`` wraps it in
-``ProbMeasure`` values for its callers; ``v_n`` and the semigroup columns
-read the array directly, and ``v_n`` evaluates all of its covariance terms
-in one batched call of ``core._cov_raw``, the routine behind
+Raw arrays inside, validated objects at the public edges.  One private
+routine, ``_stack``, reads a model's steps over a horizon: it returns the
+potentials (k, d) and kernels (k, d, d) of a run of steps, and the flow and
+the semigroup family work on those arrays (the homogeneous spectral
+routines read the one step they need).  ``_measure_flow`` runs the measure recursion on them and
+checks the whole flow once at its end; ``propagate`` wraps its rows in
+``ProbMeasure`` values, while ``v_n`` and the semigroup columns read the
+array directly.  ``_ordered_products`` is the one product routine for this
+module and ``randenv``: ``qbar_pn_one``, ``d_pn``, ``markov_pn`` and
+``qbar_p_inf`` each take ``Q_{p,n}`` from one call of it.  ``v_n`` keeps
+its sequential backward sweep and evaluates all of its covariance terms in
+one batched call of ``core._cov_raw``, the routine behind
 ``cov_operator``.
 """
 
@@ -41,6 +47,7 @@ from .core import (
     dobrushin,
     phi_step,
     total_variation,
+    _check_same_d,
     _cov_raw,
     _phi_raw,
 )
@@ -98,8 +105,18 @@ class _KahanSum:
         self.value = t
 
 
-def _measure_flow(model: FKModel, n: int) -> tuple:
-    """The exact measure recursion for ``n`` steps, on raw arrays.
+def _stack(model: FKModel, lo: int, hi: int) -> tuple:
+    """Potentials (k, d) and kernels (k, d, d) of steps ``lo..hi-1``, with
+    k = hi - lo: the one loop over a model's steps in this module.  A step
+    the schedule does not have raises the schedule's own error."""
+    steps = [model.step(q) for q in range(lo, hi)]
+    G = np.array([s.G.values for s in steps]).reshape(-1, model.d)
+    return G, np.array([s.M.rows for s in steps]).reshape(-1, model.d, model.d)
+
+
+def _measure_flow(eta0: np.ndarray, G: np.ndarray, M: np.ndarray) -> tuple:
+    """The exact measure recursion from the weights ``eta0`` through the
+    stacked steps ``G`` (n, d) and ``M`` (n, d, d), on raw arrays.
 
     Returns the flow weights as one (n+1, d) array, and the n+1 log
     normalizing constants and the n potential means as lists of floats.
@@ -111,17 +128,12 @@ def _measure_flow(model: FKModel, n: int) -> tuple:
     to 1e-10 at every step.  The flow is checked once, at the end: finite,
     nonnegative, every row summing to 1.
     """
-    if n < 0:
-        raise ValueError(f"step count must be >= 0, got {n}")
-    etas = np.empty((n + 1, model.d))
-    etas[0] = eta = model.eta0.weights
+    etas = np.empty((len(G) + 1, eta0.size))
+    etas[0] = eta = gvec = eta0
     log_gammas = [0.0]
     means = []
-    gvec = eta
     gshift = 0.0
-    for p in range(n):
-        step = model.step(p)
-        g, m = step.G.values, step.M.rows
+    for p, (g, m) in enumerate(zip(G, M)):
         means.append(float(eta @ g))
         log_gammas.append(log_gammas[p] + math.log(means[p]))
         w = np.maximum(_phi_raw(eta, g, m), 0.0)  # the clip at 0 of a ProbMeasure
@@ -146,70 +158,59 @@ def _measure_flow(model: FKModel, n: int) -> tuple:
 def propagate(model: FKModel, n: int) -> OracleSolution:
     """Run the exact measure recursion for ``n`` steps.
 
-    Besides the product of per-step potential means, the log normalizing
-    constants are recomputed through the unnormalized linear recursion
-    ``gamma_{p+1} = (gamma_p . G_p) M_{p+1}`` and the two routes are required
-    to agree to 1e-10.  The flow comes from ``_measure_flow``, which checks
-    it; its rows are wrapped as they are.
+    The flow and both routes to the log normalizing constants come from
+    ``_measure_flow``, which checks them; the rows are wrapped as they are.
     """
-    etas, log_gammas, means = _measure_flow(model, n)
+    if n < 0:
+        raise ValueError(f"step count must be >= 0, got {n}")
+    etas, log_gammas, means = _measure_flow(model.eta0.weights, *_stack(model, 0, n))
     return OracleSolution(
         tuple(ProbMeasure._checked(eta) for eta in etas), tuple(log_gammas), tuple(means)
     )
 
 
-def _factor(model: FKModel, q: int) -> np.ndarray:
-    """Matrix of the weighted one-step operator: diag(G_q) M_{q+1}."""
-    step = model.step(q)
-    return step.G.values[:, None] * step.M.rows
+def _check_window(p: int, n: int) -> None:
+    if not 0 <= p <= n:
+        raise ValueError(f"need 0 <= p <= n, got p={p}, n={n}")
 
 
 def q_pn_apply(model: FKModel, p: int, n: int, f: ArrayLike) -> FunctionVector:
     """Apply the weighted semigroup between times ``p`` and ``n`` to ``f``."""
-    if not 0 <= p <= n:
-        raise ValueError(f"need 0 <= p <= n, got p={p}, n={n}")
-    u = as_values(f).copy()
-    for q in range(n - 1, p - 1, -1):
-        u = _factor(model, q) @ u
+    _check_window(p, n)
+    u = as_values(f)
+    _check_same_d(model.d, u.size)
+    G, M = _stack(model, p, n)
+    for factor in (G[:, :, None] * M)[::-1]:
+        u = factor @ u
     return FunctionVector(u)
 
 
 def qbar_pn_one(model: FKModel, p: int, n: int) -> FunctionVector:
     """Normalized semigroup column: Q_{p,n}(1) scaled to have eta_p-mean one."""
-    if not 0 <= p <= n:
-        raise ValueError(f"need 0 <= p <= n, got p={p}, n={n}")
-    eta_p = _measure_flow(model, p)[0][p]
-    u = np.ones(model.d)
-    for q in range(n - 1, p - 1, -1):
-        u = _factor(model, q) @ u
-        u = u / u.max()  # positive rescale, cancels in the final normalization
-    return FunctionVector(u / float(eta_p @ u))
+    _check_window(p, n)
+    G, M = _stack(model, 0, n)
+    eta_p = _measure_flow(model.eta0.weights, G[:p], M[:p])[0][p]
+    (product,) = _ordered_products((G[p:, :, None] * M[p:])[None])
+    return FunctionVector(_limit_function(product, np.ones(model.d), eta_p))
 
 
 def d_pn(model: FKModel, p: int, n: int, f: ArrayLike) -> FunctionVector:
     """Centered normalized semigroup: Q_bar_{p,n}(f - eta_n(f))."""
-    if not 0 <= p <= n:
-        raise ValueError(f"need 0 <= p <= n, got p={p}, n={n}")
+    _check_window(p, n)
     values = as_values(f)
-    etas = _measure_flow(model, n)[0]
-    centered = values - float(etas[n] @ values)
-    stack = np.vstack([centered, np.ones(model.d)])
-    for q in range(n - 1, p - 1, -1):
-        factor = _factor(model, q)
-        stack = stack @ factor.T
-        stack = stack / np.abs(stack).max()  # common rescale keeps the ratio exact
-    denom = float(etas[p] @ stack[1])
-    return FunctionVector(stack[0] / denom)
+    _check_same_d(model.d, values.size)
+    G, M = _stack(model, 0, n)
+    etas = _measure_flow(model.eta0.weights, G, M)[0]
+    (product,) = _ordered_products((G[p:, :, None] * M[p:])[None])
+    centered = product @ (values - float(etas[n] @ values))
+    return FunctionVector(centered / float(etas[p] @ product.sum(axis=1)))
 
 
 def markov_pn(model: FKModel, p: int, n: int) -> StochasticKernel:
     """Markov kernel obtained by row-normalizing the weighted semigroup."""
-    if not 0 <= p <= n:
-        raise ValueError(f"need 0 <= p <= n, got p={p}, n={n}")
-    Q = np.eye(model.d)
-    for q in range(p, n):
-        Q = Q @ _factor(model, q)
-        Q = Q / Q.max()
+    _check_window(p, n)
+    G, M = _stack(model, p, n)
+    (Q,) = _ordered_products((G[:, :, None] * M)[None])
     return StochasticKernel(Q / Q.sum(axis=1, keepdims=True))
 
 
@@ -235,15 +236,13 @@ def contraction_profile(model: FKModel, n_max: int = 30) -> ModelBounds:
     """
     if n_max < 2:
         raise ValueError(f"profile needs n_max >= 2, got {n_max}")
-    d = model.d
-    Q = np.eye(d)
+    G, M = _stack(model, 0, n_max)
+    g_pot = max(1.0, float((G.max(axis=1) / G.min(axis=1)).max()))
+    Q = np.eye(model.d)
     betas = []
     g_values = []
-    g_pot = 1.0
-    for n in range(1, n_max + 1):
-        step = model.step(n - 1)
-        g_pot = max(g_pot, step.G.ratio)
-        Q = Q @ (step.G.values[:, None] * step.M.rows)
+    for factor in G[:, :, None] * M:
+        Q = Q @ factor
         Q = Q / Q.max()
         row_sums = Q.sum(axis=1)
         betas.append(dobrushin(StochasticKernel(Q / row_sums[:, None])))
@@ -286,10 +285,8 @@ def v_n(model: FKModel, choice: KernelChoice, n: int) -> float:
         raise ValueError(f"step count must be >= 0, got {n}")
     if n == 0:
         return 0.0
-    etas = _measure_flow(model, n)[0]
-    steps = [model.step(q) for q in range(n)]
-    G = np.array([s.G.values for s in steps])  # (n, d)
-    M = np.array([s.M.rows for s in steps])  # (n, d, d)
+    G, M = _stack(model, 0, n)
+    etas = _measure_flow(model.eta0.weights, G, M)[0]
     factors = G[:, :, None] * M
     ubars = np.empty((n, model.d))
     u = np.ones(model.d)
@@ -420,7 +417,8 @@ def qbar_p_inf(model: FKModel, p: int, depth: Optional[int] = None) -> FunctionV
     """Limit of the normalized semigroup columns, truncated at ``depth``.
 
     The truncated limit is ``Q_p ... Q_{p+depth-2} G_{p+depth-1}`` with
-    ``Q_q = diag(G_q) M_{q+1}``, scaled to ``eta_p``-mean one; this is the
+    ``Q_q = diag(G_q) M_{q+1}``, scaled to ``eta_p``-mean one.  Since
+    ``Q_q(1) = G_q``, that is ``qbar_pn_one`` at ``n = p + depth``; it is the
     exponential of the log series whose lag-``q`` term compares the
     potential means of the flows started at each point mass and at
     ``eta_p``.  When ``depth`` is omitted it is derived from the fitted
@@ -430,12 +428,7 @@ def qbar_p_inf(model: FKModel, p: int, depth: Optional[int] = None) -> FunctionV
         depth = default_series_depth(contraction_profile(model).lambda_hat)
     if depth < 1:
         raise ValueError(f"series depth must be >= 1, got {depth}")
-    eta_p = _measure_flow(model, p)[0][p]
-    d = model.d
-    factors = np.array([_factor(model, q) for q in range(p, p + depth - 1)])
-    (product,) = _ordered_products(factors.reshape(1, depth - 1, d, d))
-    g_last = model.step(p + depth - 1).G.values
-    return FunctionVector(_limit_function(product, g_last, eta_p))
+    return qbar_pn_one(model, p, p + depth)
 
 
 def oracle_report(

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 import fkclt as fk
-from fkclt.core import InvalidModel
+from fkclt.core import DimensionMismatch, InvalidModel
 
-from conftest import random_explicit_model, random_model
+from conftest import random_chain, random_explicit_model, random_model
 
 
 MULTI = fk.KernelChoice.MULTINOMIAL
@@ -88,6 +88,15 @@ class TestSemigroup:
     def test_rejects_reversed_indices(self, two_state):
         with pytest.raises(ValueError):
             fk.q_pn_apply(two_state, 3, 2, [1.0, 1.0])
+
+    @pytest.mark.parametrize("p", [3, 1])
+    def test_rejects_a_function_of_another_dimension(self, two_state, p):
+        # At p == n no factor is applied, so only the check can catch it.
+        for f in ([1.0, 2.0, 3.0], [1.0]):
+            with pytest.raises(DimensionMismatch):
+                fk.q_pn_apply(two_state, p, 3, f)
+            with pytest.raises(DimensionMismatch):
+                fk.d_pn(two_state, p, 3, f)
 
 
 class TestQbar:
@@ -277,6 +286,187 @@ class TestVnReference:
                     assert abs(got - want) <= 1e-13 * abs(want)
 
 
+def reference_factor(model, q):
+    step = model.step(q)
+    return step.G.values[:, None] * step.M.rows
+
+
+def reference_eta(model, p):
+    """eta_p by the flow step by step: reweight, kernel, clip at 0, divide by the sum."""
+    eta = model.eta0.weights
+    for q in range(p):
+        step = model.step(q)
+        w = eta * step.G.values
+        w = np.clip((w / w.sum()) @ step.M.rows, 0.0, None)
+        eta = w / w.sum()
+    return eta
+
+
+# Reference loops for the semigroup family: one factor at a time, rescaled
+# at every step, with no stacking and no pairing of products.
+
+def reference_q_pn_apply(model, p, n, f):
+    u = np.array(f, dtype=float)
+    for q in range(n - 1, p - 1, -1):
+        u = reference_factor(model, q) @ u
+    return u
+
+
+def reference_qbar_pn_one(model, p, n):
+    eta_p = reference_eta(model, p)
+    u = np.ones(model.d)
+    for q in range(n - 1, p - 1, -1):
+        u = reference_factor(model, q) @ u
+        u = u / u.max()
+    return u / float(eta_p @ u)
+
+
+def reference_d_pn(model, p, n, f):
+    values = np.asarray(f, dtype=float)
+    centered = values - float(reference_eta(model, n) @ values)
+    stack = np.vstack([centered, np.ones(model.d)])
+    for q in range(n - 1, p - 1, -1):
+        stack = stack @ reference_factor(model, q).T
+        stack = stack / np.abs(stack).max()
+    return stack[0] / float(reference_eta(model, p) @ stack[1])
+
+
+def reference_qbar_apply(model, p, n, g):
+    """Q_bar_{p,n}(g) for g >= 0: the size of the terms of Q_bar_{p,n}(f) when
+    g = |f|."""
+    stack = np.vstack([g, np.ones(model.d)])
+    for q in range(n - 1, p - 1, -1):
+        stack = stack @ reference_factor(model, q).T
+        stack = stack / stack.max()
+    return stack[0] / float(reference_eta(model, p) @ stack[1])
+
+
+def reference_markov_pn(model, p, n):
+    Q = np.eye(model.d)
+    for q in range(p, n):
+        Q = Q @ reference_factor(model, q)
+        Q = Q / Q.max()
+    return Q / Q.sum(axis=1, keepdims=True)
+
+
+def reference_qbar_p_inf(model, p, depth):
+    u = model.step(p + depth - 1).G.values
+    for q in range(p + depth - 2, p - 1, -1):
+        u = reference_factor(model, q) @ u
+        u = u / u.max()
+    return u / float(reference_eta(model, p) @ u)
+
+
+def reference_profile(model, n_max):
+    """(beta_profile, g_profile, g) of ``contraction_profile``."""
+    Q = np.eye(model.d)
+    betas, g_values, g_pot = [], [], 1.0
+    for n in range(1, n_max + 1):
+        step = model.step(n - 1)
+        g_pot = max(g_pot, step.G.ratio)
+        Q = Q @ (step.G.values[:, None] * step.M.rows)
+        Q = Q / Q.max()
+        row_sums = Q.sum(axis=1)
+        betas.append(fk.dobrushin(fk.StochasticKernel(Q / row_sums[:, None])))
+        g_values.append(float(row_sums.max() / row_sums.min()))
+    return betas, g_values, g_pot
+
+
+def assert_within(got, want, scale, rtol=1e-12):
+    """Entrywise |got - want| <= rtol * scale, with ``scale`` the same
+    operation applied to nonnegative inputs, so that a cancelling entry is
+    compared at the size of its terms."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    assert np.all(np.abs(got - want) <= rtol * np.asarray(scale))
+
+
+def tiny_potential_model(rng, d):
+    """Homogeneous model whose potentials reach down to 1e-12."""
+    G = 10.0 ** rng.uniform(-12.0, 0.0, size=d)
+    G[rng.integers(d)] = 1e-12
+    M = fk.StochasticKernel(rng.dirichlet(np.ones(d), size=d))
+    return fk.homogeneous_model(M, fk.Potential(G), fk.ProbMeasure(rng.dirichlet(np.ones(d))))
+
+
+def family_models(d):
+    """Homogeneous, explicit and environment models on d states, each with at
+    least 50 steps, potentials down to 1e-12."""
+    rng = np.random.default_rng(700 + d)
+    chain = random_chain(rng, 3, d, floor=1e-12)
+    return {
+        "homogeneous": random_model(rng, d),
+        "tiny-homogeneous": tiny_potential_model(rng, d),
+        "explicit": random_explicit_model(rng, d, 50),
+        "environment": fk.env_model(chain, fk.sample_env_path(chain, 0, 50, seed=d)),
+    }
+
+
+FAMILY_DIMS = [1, 2, 3, 5]
+FAMILY_LAGS = [0, 1, 2, 7, 40]  # n - p
+
+
+class TestSemigroupReference:
+    @pytest.mark.parametrize("d", FAMILY_DIMS)
+    def test_q_pn_apply(self, d):
+        rng = np.random.default_rng(d)
+        for model in family_models(d).values():
+            for p in (0, 3):
+                for lag in FAMILY_LAGS:
+                    f = rng.normal(size=d)
+                    want = reference_q_pn_apply(model, p, p + lag, f)
+                    scale = reference_q_pn_apply(model, p, p + lag, np.abs(f))
+                    assert_within(fk.q_pn_apply(model, p, p + lag, f).values, want, scale)
+
+    @pytest.mark.parametrize("d", FAMILY_DIMS)
+    def test_qbar_pn_one(self, d):
+        for model in family_models(d).values():
+            for p in (0, 3):
+                for lag in FAMILY_LAGS:
+                    want = reference_qbar_pn_one(model, p, p + lag)
+                    assert_within(fk.qbar_pn_one(model, p, p + lag).values, want, want)
+
+    @pytest.mark.parametrize("d", FAMILY_DIMS)
+    def test_d_pn(self, d):
+        rng = np.random.default_rng(d)
+        for model in family_models(d).values():
+            for p in (0, 3):
+                for lag in FAMILY_LAGS:
+                    n = p + lag
+                    f = rng.normal(size=d)
+                    want = reference_d_pn(model, p, n, f)
+                    centered = np.abs(f - float(reference_eta(model, n) @ f))
+                    scale = reference_qbar_apply(model, p, n, centered)
+                    assert_within(fk.d_pn(model, p, n, f).values, want, scale)
+
+    @pytest.mark.parametrize("d", FAMILY_DIMS)
+    def test_markov_pn(self, d):
+        for model in family_models(d).values():
+            for p in (0, 3):
+                for lag in FAMILY_LAGS:
+                    want = reference_markov_pn(model, p, p + lag)
+                    assert_within(fk.markov_pn(model, p, p + lag).rows, want, want)
+
+    @pytest.mark.parametrize("d", FAMILY_DIMS)
+    def test_qbar_p_inf(self, d):
+        for model in family_models(d).values():
+            for p in (0, 3):
+                for depth in FAMILY_LAGS[1:]:
+                    want = reference_qbar_p_inf(model, p, depth)
+                    assert_within(fk.qbar_p_inf(model, p, depth).values, want, want)
+
+    @pytest.mark.parametrize("d", FAMILY_DIMS)
+    def test_contraction_profile(self, d):
+        for model in family_models(d).values():
+            for n_max in (2, 7, 40):
+                bounds = fk.contraction_profile(model, n_max)
+                betas, g_values, g_pot = reference_profile(model, n_max)
+                # A coefficient is a difference of probabilities: terms of size <= 1.
+                assert_within(bounds.beta_profile, betas, np.ones(n_max))
+                assert_within(bounds.g_profile, g_values, g_values)
+                assert_within(bounds.g, g_pot, g_pot)
+
+
 class TestLongHorizon:
     # Potentials near 0 and at 1: the flow, the route check and v_n must
     # stay finite over long horizons.
@@ -302,6 +492,35 @@ class TestLongHorizon:
         for choice in fk.KernelChoice:
             value = fk.v_n(model, choice, 2000)
             assert math.isfinite(value) and value >= 0.0
+
+    @pytest.mark.parametrize("kind", ["homogeneous", "environment"])
+    def test_semigroup_columns_over_ten_thousand_steps(self, kind):
+        # Potentials about 1e-3: Q_{p,n} falls by about 10^-30000 over the
+        # horizon, so only a rescaled product stays finite.
+        rng = np.random.default_rng(17)
+        if kind == "homogeneous":
+            M = fk.StochasticKernel([[0.7, 0.3], [0.4, 0.6]])
+            model = fk.homogeneous_model(M, fk.Potential([1e-3, 2e-3]), fk.ProbMeasure([0.5, 0.5]))
+        else:
+            family = tuple(
+                (fk.StochasticKernel(rng.dirichlet(np.ones(3), size=3)),
+                 fk.Potential(1e-3 * rng.uniform(0.5, 2.0, size=3)))
+                for _ in range(2)
+            )
+            chain = fk.EnvironmentChain(
+                transition=fk.StochasticKernel([[0.6, 0.4], [0.4, 0.6]]),
+                stationary=fk.ProbMeasure([0.5, 0.5]),
+                family=family,
+            )
+            model = fk.env_model(chain, fk.sample_env_path(chain, 0, 10**4 + 6, seed=3))
+        p, n = 5, 5 + 10**4
+        qbar = fk.qbar_pn_one(model, p, n).values
+        P = fk.markov_pn(model, p, n).rows
+        assert np.all(np.isfinite(qbar)) and np.all(np.isfinite(P))
+        want = reference_qbar_pn_one(model, p, n)
+        assert_within(qbar, want, want)
+        want = reference_markov_pn(model, p, n)
+        assert_within(P, want, want)
 
 
 class TestFixedPoint:
