@@ -4,7 +4,7 @@ Subcommands: oracle, run, clt, fixed-n-clt, env-sigma2, qsd, hmm.
 
 Exit codes: 0 success (all verdicts pass, or degenerate), 1 statistical
 failure, 2 usage or numeric-range error, 3 model-file schema error,
-4 missing or unreadable file, 5 invalid model values.
+4 missing, unreadable or unwritable file, 5 invalid model values.
 
 argparse checks every option range (e.g. ``clt --reps >= 35``, ``qsd --reps
 >= 100``, ``fixed-n-clt`` and ``hmm --reps >= 2``) and exits 2 before the
@@ -107,7 +107,10 @@ def _emit(text: str, path: Optional[str]) -> None:
     if path is None:
         sys.stdout.write(text)
     else:
-        _write_atomic(path, text)
+        try:
+            _write_atomic(path, text)
+        except OSError as exc:
+            raise CliError(EXIT_NO_FILE, f"cannot write {path!r}: {exc}") from exc
 
 
 def _log(message: str) -> None:

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -245,11 +244,11 @@ SAMPLING_TABLES_MAX = 4096
 class FKStep:
     """One schedule entry: reweight by ``G``, then move through ``M``.
 
-    Work derived from ``(G, M)`` is kept on the step once computed: the
-    transport parts, and the sampling tables of ``sampling_table``.  None of
-    it is pickled, so a step pickles to the same bytes before and after use
-    and rebuilds what it needs.  Threads that share a step may build one
-    table twice; the two builds are equal."""
+    The sampling tables of ``sampling_table`` are the only work a step keeps;
+    it builds them from ``_kernel_rows_raw``, the one mean-field row builder.
+    They are not pickled, so a step pickles to the same bytes before and
+    after use and rebuilds what it needs.  Threads that share a step may
+    build one table twice; the two builds are equal."""
 
     G: Potential
     M: StochasticKernel
@@ -262,14 +261,6 @@ class FKStep:
     def __reduce__(self):
         return FKStep, (self.G, self.M)
 
-    @cached_property
-    def transport_parts(self) -> tuple:
-        """``(diag(G) M, 1 - G)``, the part of the transport kernel rows that
-        no empirical measure moves, computed on first use and kept.  Raises
-        ``InvalidModel`` (on every use) when a potential value exceeds 1."""
-        gm, rest = _transport_parts_raw(self.G.values, self.M.rows)
-        return _frozen(gm), _frozen(rest)
-
     def sampling_table(self, choice: KernelChoice, counts: np.ndarray) -> np.ndarray:
         """The CDF table ``_categorical`` draws a generation from, given the
         generation's state counts (d,) int64: the CDF of ``phi`` (d,) for the
@@ -278,16 +269,20 @@ class FKStep:
         ``N = counts.sum()``, so the table is a function of ``(choice,
         counts)`` and is kept under that key, up to ``SAMPLING_TABLES_MAX``
         tables; a kept table is the array a rebuild would give, bit for bit.
-        A build that raises (a transport potential above 1) keeps nothing,
-        so it raises again on every use."""
+        Both kernels' tables come from the rows of ``_kernel_rows_raw``: the
+        multinomial rows all equal ``phi``, so its table is row 0's CDF.  A
+        build that raises (a transport potential above 1, or a table that is
+        not finite, as when every reweighted count underflows to 0) keeps
+        nothing, so it raises again on every use."""
         key = (choice, counts.tobytes())
         table = self._tables.get(key)
         if table is None:
-            phi = _phi_raw(counts / counts.sum(), self.G.values, self.M.rows)
-            if choice is KernelChoice.MULTINOMIAL:
-                table = phi.cumsum()
-            else:
-                table = _transport_rows_raw(self.transport_parts, phi).cumsum(axis=1)
+            rows = _kernel_rows_raw(choice, counts / counts.sum(), self.G.values, self.M.rows)
+            table = rows[0].cumsum() if choice is KernelChoice.MULTINOMIAL else rows.cumsum(axis=1)
+            if not np.isfinite(table).all():
+                raise InvalidModel(
+                    f"sampling table for state counts {counts.tolist()} is not finite"
+                )
             table.flags.writeable = False
             if len(self._tables) < SAMPLING_TABLES_MAX:
                 self._tables[key] = table
@@ -466,34 +461,23 @@ def _chain_path(cum0: np.ndarray, cum_rows: np.ndarray, u: np.ndarray) -> np.nda
     return states
 
 
-def _transport_parts_raw(g_v: np.ndarray, m_r: np.ndarray) -> tuple:
-    """The step's fixed part of the transport rows: ``(diag(G) M, 1 - G)``,
-    (..., d, d) and (..., d).  The transport kernel keeps a particle with
-    probability G(x), so every potential value must be <= 1."""
-    if g_v.max() > 1.0:
-        raise InvalidModel(
-            f"transport kernel needs potential values <= 1, max entry is {float(g_v.max())!r}"
-        )
-    return g_v[..., :, None] * m_r, 1.0 - g_v
-
-
-def _transport_rows_raw(parts: tuple, phi: np.ndarray) -> np.ndarray:
-    """Transport rows ``G(x) M(x, .) + (1 - G(x)) phi(.)`` from the fixed
-    parts of ``_transport_parts_raw`` and the measure's ``phi``."""
-    gm, rest = parts
-    return gm + rest[..., :, None] * phi[..., None, :]
-
-
 def _kernel_rows_raw(
     choice: KernelChoice, mu_w: np.ndarray, g_v: np.ndarray, m_r: np.ndarray
 ) -> np.ndarray:
-    """Rows of the mean-field kernel, (..., d, d).  The rows are always a
+    """Rows of the mean-field kernel, (..., d, d): every row is ``phi`` for
+    the multinomial kernel, and row x is ``G(x) M(x, .) + (1 - G(x)) phi(.)``
+    for the transport kernel, which keeps a particle with probability G(x),
+    so every potential value must be <= 1.  The rows are always a
     materialized contiguous array: matrix products over a stride-0 view leave
     BLAS and sum in another order."""
     phi = _phi_raw(mu_w, g_v, m_r)
     if choice is KernelChoice.MULTINOMIAL:
         return phi[..., None, :].repeat(m_r.shape[-1], axis=-2)
-    return _transport_rows_raw(_transport_parts_raw(g_v, m_r), phi)
+    if g_v.max() > 1.0:
+        raise InvalidModel(
+            f"transport kernel needs potential values <= 1, max entry is {float(g_v.max())!r}"
+        )
+    return g_v[..., :, None] * m_r + (1.0 - g_v)[..., :, None] * phi[..., None, :]
 
 
 def _cov_raw(

@@ -11,16 +11,15 @@ normalizing-constant estimate, raw and normalized by the exact value.
 Validated at the public edges, raw inside: ``ParticleSystem(...)`` and
 ``init_particles`` check the states, and ``step`` checks that system and
 model share ``d``.  The successor ``step`` builds is not checked again,
-since ``_categorical`` draws int64 states in [0, d-1].  A transport row is
-``G(x) M(x, .) + (1 - G(x)) phi(.)``: its fixed part ``(diag(G) M, 1 - G)``,
-with the ``G <= 1`` check, is computed once per ``FKStep``
-(``FKStep.transport_parts``); each generation adds only ``(1 - G) phi``.
+since ``_categorical`` draws int64 states in [0, d-1].
 
-The rows depend on the particles only through the state counts m, since
-the empirical measure is m/N.  So ``step`` asks its ``FKStep`` for the
-generation's CDF table by (kernel, m) (``FKStep.sampling_table``), which
-builds a table once and keeps it, up to ``core.SAMPLING_TABLES_MAX`` per
-step; a kept table equals a rebuilt one bit for bit.  ``run``'s potential
+The kernel rows depend on the particles only through the state counts m,
+since the empirical measure is m/N.  So ``step`` asks its ``FKStep`` for
+the generation's CDF table by (kernel, m) (``FKStep.sampling_table``),
+which builds a table from ``core._kernel_rows_raw``, the one row builder
+that the exact layer uses too, and keeps it, up to
+``core.SAMPLING_TABLES_MAX`` per step.  That memo is the only per-step
+cache; a kept table equals a rebuilt one bit for bit.  ``run``'s potential
 mean is still summed over the particle array, in particle order.
 """
 

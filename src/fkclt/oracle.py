@@ -125,8 +125,10 @@ def _measure_flow(eta0: np.ndarray, G: np.ndarray, M: np.ndarray) -> tuple:
     the product of the potential means, the log normalizing constants are
     recomputed through the unnormalized linear recursion
     ``gamma_{p+1} = (gamma_p . G_p) M_{p+1}``, and the two routes must agree
-    to 1e-10 at every step.  The flow is checked once, at the end: finite,
-    nonnegative, every row summing to 1.
+    to 1e-10 at every step.  A potential mean or linear-route total that is
+    not positive (the potentials underflow against the flow) raises
+    ``InvalidModel`` at its step.  The flow is checked once, at the end:
+    finite, nonnegative, every row summing to 1.
     """
     etas = np.empty((len(G) + 1, eta0.size))
     etas[0] = eta = gvec = eta0
@@ -135,11 +137,16 @@ def _measure_flow(eta0: np.ndarray, G: np.ndarray, M: np.ndarray) -> tuple:
     gshift = 0.0
     for p, (g, m) in enumerate(zip(G, M)):
         means.append(float(eta @ g))
+        gvec = (gvec * g) @ m
+        total = gvec.sum()
+        if not (means[p] > 0.0 and total > 0.0):
+            raise InvalidModel(
+                f"potential mean vanished at step {p}: mean {means[p]!r}, "
+                f"linear-route total {float(total)!r}"
+            )
         log_gammas.append(log_gammas[p] + math.log(means[p]))
         w = np.maximum(_phi_raw(eta, g, m), 0.0)  # the clip at 0 of a ProbMeasure
         etas[p + 1] = eta = w / w.sum()
-        gvec = (gvec * g) @ m
-        total = gvec.sum()
         gshift += math.log(total)
         gvec = gvec / total
         if abs(gshift - log_gammas[p + 1]) > 1e-10 * max(1.0, abs(log_gammas[p + 1])):
@@ -279,7 +286,8 @@ def v_n(model: FKModel, choice: KernelChoice, n: int) -> float:
     Term ``q = 0`` is the plain variance under the initial law (the step-0
     kernel is the initial law itself, by convention); terms ``q >= 1`` use
     the conditional covariance of the chosen mean-field kernel.  Summation
-    is compensated, in index order.
+    is compensated, in index order.  A sum that is not finite (a column
+    underflowed against vanishing potentials) raises ``InvalidModel``.
     """
     if n < 0:
         raise ValueError(f"step count must be >= 0, got {n}")
@@ -301,6 +309,11 @@ def v_n(model: FKModel, choice: KernelChoice, n: int) -> float:
         cols = ubars[1:]
         for term in _cov_raw(choice, etas[: n - 1], G[: n - 1], M[: n - 1], cols, cols).tolist():
             acc.add(term)
+    if not math.isfinite(acc.value):
+        raise InvalidModel(
+            f"v_n over {n} steps is not finite: a normalized semigroup column "
+            "underflowed or overflowed"
+        )
     # Every term is a variance, so the sum is nonnegative up to cancellation
     # noise; clamp the noise.
     return max(acc.value, 0.0)

@@ -171,8 +171,8 @@ class EnvironmentSchedule:
     potential of the state at p and mutates by the kernel of the state at p+1.
 
     Every (state, next state) pair's ``FKStep`` is built once, here, so a
-    step is a path-window check and a table read, and each pair's transport
-    parts are computed once per schedule."""
+    step is a path-window check and a table read, and the particle runs on
+    one schedule share each pair's sampling-table memo."""
 
     chain: EnvironmentChain
     path: EnvPath

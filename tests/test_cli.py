@@ -168,6 +168,12 @@ class TestParseErrors:
         cfg = model_file({**TWO_STATE, "M": [[0.7, 0.4], [0.4, 0.6]]})
         assert main(["oracle", "--config", cfg, "--n", "2"]) == 5
 
+    def test_underflowing_potentials_exit_5(self, model_file, capsys):
+        # Every potential mean of this model rounds to 0.
+        cfg = model_file({**TWO_STATE, "G": [5e-324, 5e-324]})
+        assert main(["oracle", "--config", cfg, "--n", "3"]) == 5
+        assert "vanished at step 0" in capsys.readouterr().err
+
     def test_kind_mismatch_exit_3(self, model_file):
         cfg = model_file(TWO_STATE)
         assert main(["hmm", "--config", cfg, "--n", "5", "--N", "10", "--reps", "5"]) == 3
@@ -400,6 +406,18 @@ def test_no_stray_temp_files(model_file, tmp_path):
     main(["oracle", "--config", cfg, "--n", "2", "--out", str(out)])
     leftovers = [p for p in os.listdir(tmp_path) if p.endswith(".tmp")]
     assert leftovers == []
+
+
+@pytest.mark.parametrize("target", ["no/such/dir/r.json", "a_directory"])
+def test_unwritable_output_exit_4(model_file, tmp_path, capsys, target):
+    cfg = model_file(TWO_STATE)
+    (tmp_path / "a_directory").mkdir()
+    assert main(["oracle", "--config", cfg, "--n", "3", "--out", str(tmp_path / target)]) == 4
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "cannot write" in out.err
+    assert sorted(os.listdir(tmp_path)) == ["a_directory", "model.json"]
+    assert os.listdir(tmp_path / "a_directory") == []
 
 
 def test_failed_write_keeps_target_and_leaves_no_temp_file(tmp_path, monkeypatch):
