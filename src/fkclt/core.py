@@ -343,14 +343,31 @@ class FKModel:
     """Initial law plus a schedule of selection/mutation steps.
 
     The schedule states its dimension ``d`` and is checked against the
-    initial law once, here, so ``step`` is a plain lookup."""
+    initial law once, here, so ``step`` is a plain lookup.
+
+    A model keeps one piece of work: ``_flow``, the longest exact measure
+    flow that ``oracle`` has computed on it (flow weights, log normalizing
+    constants, potential means), or None.  Step p of the flow depends only
+    on the steps before it, so ``oracle`` answers a shorter request with a
+    prefix of the kept arrays, bit for bit.  The flow is not pickled, so a
+    model pickles to the same bytes before and after use; a flow that
+    raises is not kept.  The flow is never recomputed, so ``schedule.step(p)``
+    must return the same step on every call, as the shipped schedules (frozen
+    dataclasses) do.  Threads that share a model may compute a flow twice or
+    keep a shorter one over a longer; every read still gets the same bits."""
 
     eta0: ProbMeasure
-    schedule: object  # anything with .d and .step(p) -> FKStep of that dimension
+    # Anything with .d and .step(p) -> FKStep of that dimension, the same
+    # step on every call for a given p.
+    schedule: object
 
     def __post_init__(self) -> None:
         if self.eta0.d != self.schedule.d:
             raise DimensionMismatch("initial law and schedule dimensions differ")
+        object.__setattr__(self, "_flow", None)
+
+    def __reduce__(self):
+        return FKModel, (self.eta0, self.schedule)
 
     @property
     def d(self) -> int:
@@ -382,7 +399,8 @@ class ModelBounds:
     Dobrushin coefficients ``beta(P_{0,n})`` against ``n`` on a log scale;
     ``b_bound = exp(a_hat (g - 1) / (1 - exp(-lambda_hat)))`` dominates the
     normalized-semigroup ratio profile when the geometric decay holds; it is
-    inf when that exceeds the float range or when lambda_hat <= 0.
+    inf when that exceeds the float range or when lambda_hat <= 0.  ``g``
+    and the ``g_profile`` ratios are inf past the float range too.
     These are diagnostics, not assumptions.
     """
 

@@ -10,20 +10,26 @@ Raw arrays inside, validated objects at the public edges.  One private
 routine, ``_stack``, reads a model's steps over a horizon: it returns the
 potentials (k, d) and kernels (k, d, d) of a run of steps, and the flow and
 the semigroup family work on those arrays (the homogeneous spectral
-routines read the one step they need).  ``_measure_flow`` runs the measure recursion on them and
-checks the whole flow once at its end; ``propagate`` wraps its rows in
-``ProbMeasure`` values, while ``v_n`` and the semigroup columns read the
-array directly.  ``_ordered_products`` is the one product routine for this
-module and ``randenv``: ``qbar_pn_one``, ``d_pn``, ``markov_pn`` and
-``qbar_p_inf`` each take ``Q_{p,n}`` from one call of it.  ``v_n`` keeps
-its sequential backward sweep and evaluates all of its covariance terms in
-one batched call of ``core._cov_raw``, the routine behind
-``cov_operator``.
+routines read the one step they need).  ``_measure_flow`` runs the measure
+recursion on them and checks the whole flow once at its end.
+
+A model keeps the longest flow computed on it (never pickled), and
+``_kept_flow`` is the one reader of that memo: a request up to the kept
+length is a prefix of the kept arrays, with the bits of a flow of that
+length, and a longer one runs ``_measure_flow`` and keeps its result; a
+flow that raises keeps nothing.  ``propagate`` wraps its rows in
+``ProbMeasure`` values, while ``v_n``, ``qbar_pn_one`` and ``d_pn`` read
+the array directly.
+
+``_ordered_products`` is the one product routine for this module and
+``randenv``: ``qbar_pn_one``, ``d_pn``, ``markov_pn`` and ``qbar_p_inf``
+each take ``Q_{p,n}`` from one call of it.  ``v_n`` keeps its sequential
+backward sweep and evaluates all of its covariance terms in one batched
+call of ``core._cov_raw``, the routine behind ``cov_operator``.
 """
 
 from __future__ import annotations
 
-import contextlib
 import math
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
@@ -162,15 +168,29 @@ def _measure_flow(eta0: np.ndarray, G: np.ndarray, M: np.ndarray) -> tuple:
     return etas, log_gammas, means
 
 
+def _kept_flow(model: FKModel, n: int) -> tuple:
+    """``_measure_flow`` over the model's first ``n`` steps, read as a prefix
+    of the flow the model keeps; a longer request runs the flow and keeps
+    it."""
+    kept = model._flow
+    if kept is None or len(kept[1]) <= n:
+        kept = _measure_flow(model.eta0.weights, *_stack(model, 0, n))
+        kept[0].flags.writeable = False
+        object.__setattr__(model, "_flow", kept)
+    etas, log_gammas, means = kept
+    return etas[: n + 1], log_gammas[: n + 1], means[:n]
+
+
 def propagate(model: FKModel, n: int) -> OracleSolution:
     """Run the exact measure recursion for ``n`` steps.
 
     The flow and both routes to the log normalizing constants come from
-    ``_measure_flow``, which checks them; the rows are wrapped as they are.
+    ``_measure_flow``, which checks them, through the model's kept flow;
+    the rows are wrapped as they are.
     """
     if n < 0:
         raise ValueError(f"step count must be >= 0, got {n}")
-    etas, log_gammas, means = _measure_flow(model.eta0.weights, *_stack(model, 0, n))
+    etas, log_gammas, means = _kept_flow(model, n)
     return OracleSolution(
         tuple(ProbMeasure._checked(eta) for eta in etas), tuple(log_gammas), tuple(means)
     )
@@ -195,9 +215,9 @@ def q_pn_apply(model: FKModel, p: int, n: int, f: ArrayLike) -> FunctionVector:
 def qbar_pn_one(model: FKModel, p: int, n: int) -> FunctionVector:
     """Normalized semigroup column: Q_{p,n}(1) scaled to have eta_p-mean one."""
     _check_window(p, n)
-    G, M = _stack(model, 0, n)
-    eta_p = _measure_flow(model.eta0.weights, G[:p], M[:p])[0][p]
-    (product,) = _ordered_products((G[p:, :, None] * M[p:])[None])
+    G, M = _stack(model, p, n)
+    eta_p = _kept_flow(model, p)[0][p]
+    (product,) = _ordered_products((G[:, :, None] * M)[None])
     return FunctionVector(_limit_function(product, np.ones(model.d), eta_p))
 
 
@@ -206,9 +226,9 @@ def d_pn(model: FKModel, p: int, n: int, f: ArrayLike) -> FunctionVector:
     _check_window(p, n)
     values = as_values(f)
     _check_same_d(model.d, values.size)
-    G, M = _stack(model, 0, n)
-    etas = _measure_flow(model.eta0.weights, G, M)[0]
-    (product,) = _ordered_products((G[p:, :, None] * M[p:])[None])
+    etas = _kept_flow(model, n)[0]
+    G, M = _stack(model, p, n)
+    (product,) = _ordered_products((G[:, :, None] * M)[None])
     centered = product @ (values - float(etas[n] @ values))
     return FunctionVector(centered / float(etas[p] @ product.sum(axis=1)))
 
@@ -232,6 +252,14 @@ def _ols_line(xs: Sequence[float], ys: Sequence[float]) -> tuple:
     return slope, intercept
 
 
+def _exp_or_inf(x: float) -> float:
+    """``exp(x)``, or inf past the float range."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
 def contraction_profile(model: FKModel, n_max: int = 30) -> ModelBounds:
     """Dobrushin-coefficient profile with a fitted geometric decay rate.
 
@@ -240,20 +268,32 @@ def contraction_profile(model: FKModel, n_max: int = 30) -> ModelBounds:
     fits ``log beta`` against ``n`` by ordinary least squares over the points
     above the noise floor.  When every coefficient is at the floor (rank-one
     mixing), ``lambda_hat`` is reported as ``+inf`` with ``a_hat = 1``.
+
+    Row x of ``P_{0,n}`` is the flow started at the point mass on x, so each
+    row is carried normalized by its own sum, with the log of that sum, and
+    a reweighted row sums to at most the step's largest potential.  ``g_{0,n}``
+    is the exponential of the spread of those logs; it and ``g`` are inf
+    beyond the float range.  Only a row whose reweighted mass underflows to
+    0 raises ``InvalidModel``, naming the step.
     """
     if n_max < 2:
         raise ValueError(f"profile needs n_max >= 2, got {n_max}")
     G, M = _stack(model, 0, n_max)
-    g_pot = max(1.0, float((G.max(axis=1) / G.min(axis=1)).max()))
-    Q = np.eye(model.d)
+    with np.errstate(over="ignore"):  # a ratio beyond the float range is inf
+        g_pot = max(1.0, float((G.max(axis=1) / G.min(axis=1)).max()))
+    P = np.eye(model.d)
+    log_rows = np.zeros(model.d)
     betas = []
     g_values = []
-    for factor in G[:, :, None] * M:
-        Q = Q @ factor
-        Q = Q / Q.max()
-        row_sums = Q.sum(axis=1)
-        betas.append(dobrushin(StochasticKernel(Q / row_sums[:, None])))
-        g_values.append(float(row_sums.max() / row_sums.min()))
+    for p, (g, m) in enumerate(zip(G, M)):
+        w = P * g
+        sums = w.sum(axis=1)
+        if not sums.all():
+            raise InvalidModel(f"a row of the weighted semigroup underflowed to 0 at step {p}")
+        P = (w / sums[:, None]) @ m
+        log_rows += np.log(sums)
+        betas.append(dobrushin(StochasticKernel(P)))
+        g_values.append(_exp_or_inf(float(log_rows.max() - log_rows.min())))
     points = [(n, math.log(b)) for n, b in zip(range(1, n_max + 1), betas) if b > BETA_FIT_FLOOR]
     if len(points) >= 2:
         slope, intercept = _ols_line([p[0] for p in points], [p[1] for p in points])
@@ -266,8 +306,7 @@ def contraction_profile(model: FKModel, n_max: int = 30) -> ModelBounds:
     if lambda_hat > 0.0:
         # exp(-inf) = 0 leaves the rank-one exponent a_hat (g - 1).  A slowly
         # mixing model can push the exponent past the float range.
-        with contextlib.suppress(OverflowError):
-            b_bound = math.exp(a_hat * (g_pot - 1.0) / (1.0 - math.exp(-lambda_hat)))
+        b_bound = _exp_or_inf(a_hat * (g_pot - 1.0) / (1.0 - math.exp(-lambda_hat)))
     g_within = all(g <= b_bound * (1.0 + 1e-12) for g in g_values)
     return ModelBounds(
         g=g_pot,
@@ -293,8 +332,8 @@ def v_n(model: FKModel, choice: KernelChoice, n: int) -> float:
         raise ValueError(f"step count must be >= 0, got {n}")
     if n == 0:
         return 0.0
+    etas = _kept_flow(model, n)[0]
     G, M = _stack(model, 0, n)
-    etas = _measure_flow(model.eta0.weights, G, M)[0]
     factors = G[:, :, None] * M
     ubars = np.empty((n, model.d))
     u = np.ones(model.d)

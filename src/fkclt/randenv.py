@@ -13,10 +13,16 @@ Every backward limit is an ordered product of the nonnegative matrices
 oracle's product routine, a few batched array calls per position.
 
 Raw arrays inside, validated objects at the public edges: the chain is
-checked once, when built, and stacks its potentials and kernels; ``c_of_y``
-reads those stacks and hands plain arrays to ``core._cov_raw``, building no
-measure or function object per position.  It keeps the path-window check
-and rejects a non-finite contribution.
+checked once, when built, and stacks its potentials, its kernels and the
+(env_size, env_size, d, d) table of factors diag(G_s) M_t, so the factors
+along a window are one gather.  ``c_of_y`` reads those stacks and hands
+plain arrays to ``core._cov_raw``, building no measure or function
+object per position.  It keeps the path-window check and rejects a
+non-finite contribution.
+
+A model from ``env_model`` is an ``FKModel``, so it keeps the longest exact
+flow ``oracle`` computes on it, as every model does: never pickled, and
+read by prefix with the bits of a fresh flow.
 """
 
 from __future__ import annotations
@@ -62,7 +68,11 @@ def stationary_distribution(P: StochasticKernel) -> ProbMeasure:
 
 @dataclass(frozen=True)
 class EnvironmentChain:
-    """Finite environment driving per-step (kernel, potential) pairs."""
+    """Finite environment driving per-step (kernel, potential) pairs.
+
+    Built once, the chain keeps its potentials (env_size, d), its kernels
+    (env_size, d, d) and the factor table (env_size, env_size, d, d) of
+    diag(G_s) M_t, all read-only; ``factors`` gathers from the table."""
 
     transition: StochasticKernel
     stationary: ProbMeasure
@@ -89,9 +99,13 @@ class EnvironmentChain:
             )
         object.__setattr__(self, "family", family)
         # The family stacked once, indexed by environment state: potentials
-        # (env_size, d) and kernels (env_size, d, d).
-        object.__setattr__(self, "_G", _frozen([G.values for _, G in family]))
-        object.__setattr__(self, "_M", _frozen([M.rows for M, _ in family]))
+        # (env_size, d), kernels (env_size, d, d), and the factor table
+        # (env_size, env_size, d, d) whose entry [s, t] is diag(G_s) M_t.
+        G = _frozen([G.values for _, G in family])
+        M = _frozen([M.rows for M, _ in family])
+        object.__setattr__(self, "_G", G)
+        object.__setattr__(self, "_M", M)
+        object.__setattr__(self, "_Q", _frozen(G[:, None, :, None] * M[None]))
 
     @property
     def env_size(self) -> int:
@@ -110,8 +124,8 @@ class EnvironmentChain:
     def factors(self, states: np.ndarray) -> np.ndarray:
         """The matrices ``diag(G_q) M_{q+1}`` along consecutive path states:
         potential of each state but the last, kernel of each but the first,
-        as a (len(states) - 1, d, d) array."""
-        return self._G[states[:-1], :, None] * self._M[states[1:]]
+        as a (len(states) - 1, d, d) array read from the factor table."""
+        return self._Q[states[:-1], states[1:]]
 
 
 @dataclass(frozen=True)

@@ -200,6 +200,15 @@ class TestOracleCommand:
         assert report["b_bound"] == "inf"
         assert report["g"] == 100.0
 
+    def test_subnormal_potential_report(self, model_file, capsys):
+        # The potential ratio lies beyond the float range: the profile
+        # reports it as inf and its coefficients stay finite.
+        cfg = model_file({**TWO_STATE, "G": [5e-324, 1.0]})
+        assert main(["oracle", "--config", cfg, "--n", "3"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert all(isinstance(b, float) and math.isfinite(b) for b in report["beta_profile"])
+        assert report["g"] == "inf"
+
     def test_writes_file_and_keeps_stdout_clean(self, model_file, tmp_path, capsys):
         cfg = model_file(TWO_STATE)
         out = tmp_path / "oracle.json"
@@ -441,6 +450,19 @@ def test_written_file_mode_follows_umask(tmp_path):
     finally:
         os.umask(old)
     assert (tmp_path / "r.json").stat().st_mode & 0o777 == 0o640
+
+
+def test_module_entry_point():
+    root = os.path.join(os.path.dirname(__file__), os.pardir)
+    src = os.path.join(root, "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "fkclt", "oracle", "--config", "configs/two_state.json", "--n", "3"],
+        cwd=root, env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["n"] == 3
 
 
 def test_benchmark_traced_names_exist():

@@ -258,10 +258,14 @@ class TestSamplingTableMemo:
         before = pickle.dumps(model)
         for choice in fk.KernelChoice:
             fk.run(model, 16, 17, choice, seed=5)
+            fk.v_n(model, choice, 17)
+        fk.propagate(model, 17)
         assert model.step(0)._tables
+        assert model._flow is not None
         assert pickle.dumps(model) == before
         copy = pickle.loads(before)
         assert not copy.step(0)._tables
+        assert copy._flow is None
         warm = fk.run(model, 16, 17, TRANS, seed=5).log_gamma_N
         assert fk.run(copy, 16, 17, TRANS, seed=5).log_gamma_N == warm
 

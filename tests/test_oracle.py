@@ -1,12 +1,14 @@
 from __future__ import annotations
 
 import math
+import pickle
 
 import numpy as np
 import pytest
 
 import fkclt as fk
-from fkclt.core import DimensionMismatch, InvalidModel
+from fkclt import oracle
+from fkclt.core import DimensionMismatch, InvalidModel, ScheduleExhausted
 
 from conftest import random_chain, random_explicit_model, random_model
 
@@ -197,6 +199,28 @@ class TestContractionProfile:
     def test_requires_two_steps(self, two_state):
         with pytest.raises(ValueError):
             fk.contraction_profile(two_state, 1)
+
+    @pytest.mark.parametrize("G", [[5e-324, 1.0], [5e-324, 2.0], [1e-320, 1e5]])
+    def test_potential_ratio_beyond_the_float_range(self, G):
+        # The potential ratio is beyond the float range; row 0 of the first
+        # reweighted factor is G(0) M(0, .), whose entries are subnormal or 0.
+        M = fk.StochasticKernel([[0.7, 0.3], [0.4, 0.6]])
+        model = fk.homogeneous_model(M, fk.Potential(G), fk.ProbMeasure([0.5, 0.5]))
+        bounds = fk.contraction_profile(model, 5)
+        assert bounds.beta_profile[0] == pytest.approx(0.3, abs=1e-15)
+        assert all(b == 0.0 for b in bounds.beta_profile[1:])
+        assert math.isinf(bounds.g)
+        assert all(math.isinf(g) for g in bounds.g_profile)
+
+    def test_underflowing_row_names_its_step(self):
+        # Each entry of a uniform row times 5e-324 rounds to 0, so the whole
+        # reweighted row vanishes at step 1; the flow rejects the model too.
+        M = fk.StochasticKernel(np.full((3, 3), 1.0 / 3.0))
+        model = fk.homogeneous_model(M, fk.Potential([5e-324] * 3), fk.ProbMeasure([1 / 3] * 3))
+        with pytest.raises(InvalidModel, match="underflowed to 0 at step 1"):
+            fk.contraction_profile(model, 5)
+        with pytest.raises(InvalidModel):
+            fk.propagate(model, 1)
 
 
 class TestVn:
@@ -465,6 +489,108 @@ class TestSemigroupReference:
                 assert_within(bounds.beta_profile, betas, np.ones(n_max))
                 assert_within(bounds.g_profile, g_values, g_values)
                 assert_within(bounds.g, g_pot, g_pot)
+
+
+MEMO_STEPS = 30
+
+
+def memo_models(d):
+    """Homogeneous, explicit and environment models on d states with
+    potentials at most 1, the explicit one MEMO_STEPS steps long."""
+    rng = np.random.default_rng(800 + d)
+    chain = random_chain(rng, 3, d, floor=1e-3)
+    return {
+        "homogeneous": random_model(rng, d, transport_safe=True),
+        "explicit": random_explicit_model(rng, d, MEMO_STEPS),
+        "environment": fk.env_model(chain, fk.sample_env_path(chain, 0, MEMO_STEPS, seed=d)),
+    }
+
+
+def solution_bits(sol):
+    return np.array([eta.weights for eta in sol.etas]).tobytes(), sol.log_gammas, sol.potential_means
+
+
+def outcome(call, model):
+    """A call's result, or the type and message of the error it raises."""
+    try:
+        return call(model)
+    except fk.FKError as exc:
+        return type(exc), str(exc)
+
+
+class TestFlowMemo:
+    """A model keeps its longest exact flow; every read of it must give the
+    bits and the errors of the same call on a cold model."""
+
+    @pytest.mark.parametrize("d", FAMILY_DIMS)
+    def test_prefix_reads_keep_the_bits(self, d):
+        for kind, model in memo_models(d).items():
+            cold = pickle.dumps(model)
+            fk.propagate(model, MEMO_STEPS)
+            for k in range(MEMO_STEPS + 1):
+                want = solution_bits(fk.propagate(pickle.loads(cold), k))
+                assert solution_bits(fk.propagate(model, k)) == want, (kind, k)
+                for choice in fk.KernelChoice:
+                    want = fk.v_n(pickle.loads(cold), choice, k)
+                    assert fk.v_n(model, choice, k) == want, (kind, k, choice)
+            assert len(model._flow[1]) == MEMO_STEPS + 1
+
+    def test_longer_requests_run_as_on_a_cold_model(self):
+        for kind, model in memo_models(3).items():
+            cold = pickle.dumps(model)
+            fk.propagate(model, 10)
+            want = solution_bits(fk.propagate(pickle.loads(cold), 20))
+            assert solution_bits(fk.propagate(model, 20)) == want, kind
+            assert len(model._flow[1]) == 21
+            assert fk.v_n(model, MULTI, 25) == fk.v_n(pickle.loads(cold), MULTI, 25)
+            assert len(model._flow[1]) == 26
+
+    def test_past_the_end_of_an_explicit_schedule(self):
+        model = memo_models(3)["explicit"]
+        cold = pickle.dumps(model)
+        fk.propagate(model, MEMO_STEPS)
+        calls = [
+            lambda m: fk.propagate(m, MEMO_STEPS + 1),
+            lambda m: fk.v_n(m, MULTI, MEMO_STEPS + 1),
+            lambda m: fk.d_pn(m, 3, MEMO_STEPS + 1, np.ones(3)),
+            lambda m: fk.qbar_pn_one(m, MEMO_STEPS + 1, MEMO_STEPS + 1),
+        ]
+        for call in calls:
+            got = outcome(call, model)
+            assert got[0] is ScheduleExhausted
+            assert got == outcome(call, pickle.loads(cold))
+        assert len(model._flow[1]) == MEMO_STEPS + 1
+
+    def test_a_flow_that_raises_keeps_nothing(self):
+        M = fk.StochasticKernel([[0.7, 0.3], [0.4, 0.6]])
+        zero = object.__new__(fk.Potential)
+        object.__setattr__(zero, "values", np.zeros(2))
+        model = fk.explicit_model(
+            [fk.FKStep(fk.Potential([0.5, 0.9]), M), fk.FKStep(zero, M)],
+            fk.ProbMeasure([0.5, 0.5]),
+        )
+        for _ in range(2):
+            with pytest.raises(InvalidModel, match="vanished at step 1"):
+                fk.propagate(model, 2)
+            assert model._flow is None
+        fk.propagate(model, 1)
+        for call in (lambda: fk.propagate(model, 2), lambda: fk.v_n(model, MULTI, 2)):
+            with pytest.raises(InvalidModel, match="vanished at step 1"):
+                call()
+            assert len(model._flow[1]) == 2
+
+    @pytest.mark.parametrize("choice", list(fk.KernelChoice))
+    def test_oracle_report_runs_one_flow(self, two_state, choice, monkeypatch):
+        model = pickle.loads(pickle.dumps(two_state))  # a cold copy
+        flows, horizons = [], []
+        measure_flow, v_n = oracle._measure_flow, oracle.v_n
+        monkeypatch.setattr(
+            oracle, "_measure_flow", lambda *a: flows.append(len(a[1])) or measure_flow(*a)
+        )
+        monkeypatch.setattr(oracle, "v_n", lambda *a: horizons.append(a[2]) or v_n(*a))
+        oracle.oracle_report(model, 200, choice)
+        assert flows == [200]
+        assert horizons == list(range(1, 201))
 
 
 class TestLongHorizon:

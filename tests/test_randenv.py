@@ -102,6 +102,18 @@ class TestConstruction:
                 family=((M, fk.Potential([0.5, 0.9])), (M3, fk.Potential([1.0] * 3))),
             )
 
+    @pytest.mark.parametrize("d", [1, 2, 3, 5])
+    def test_factors_are_the_pairwise_products(self, d):
+        rng = np.random.default_rng(40 + d)
+        chain = random_chain(rng, 3, d, floor=1e-12)
+        pairs = [(s, t) for s in range(3) for t in range(3)]
+        states = np.array([s for pair in pairs for s in pair], dtype=np.int64)
+        factors = chain.factors(states)
+        assert factors.shape == (len(states) - 1, d, d)
+        for q in range(len(states) - 1):
+            G, M = chain.potential(states[q]).values, chain.kernel(states[q + 1]).rows
+            assert np.array_equal(factors[q], G[:, None] * M)
+
     def test_stationary_solver(self, env_chain):
         pi = fk.stationary_distribution(env_chain.transition)
         np.testing.assert_allclose(pi.weights, [0.5, 0.5], atol=1e-12)
