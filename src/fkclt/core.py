@@ -470,13 +470,19 @@ def _categorical(
 
 def _chain_path(cum0: np.ndarray, cum_rows: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Markov chain states, one per uniform: the first drawn from the CDF
-    ``cum0``, each later one from the CDF row of its predecessor."""
-    states = np.empty(u.size, dtype=np.int64)
-    cdf = cum0
-    for i in range(u.size):
-        states[i] = _categorical(cdf, u[i : i + 1])[0]
-        cdf = cum_rows[states[i]]
-    return states
+    ``cum0``, each later one from the CDF row of its predecessor.  Every
+    row's draws for all the uniforms are one ``_categorical`` call, and the
+    path walks those draws: draw i of the row of state s is the state that
+    uniform i gives after s."""
+    if u.size == 0:
+        return np.empty(0, dtype=np.int64)
+    moves = [_categorical(cdf, u).tolist() for cdf in cum_rows]
+    state = int(_categorical(cum0, u[:1])[0])
+    states = [state]
+    for i in range(1, u.size):
+        state = moves[state][i]
+        states.append(state)
+    return np.array(states, dtype=np.int64)
 
 
 def _kernel_rows_raw(

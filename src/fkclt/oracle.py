@@ -460,9 +460,10 @@ def _ordered_products(stack: np.ndarray) -> np.ndarray:
 
 def _limit_function(product: np.ndarray, g_last: np.ndarray, eta: np.ndarray) -> np.ndarray:
     """The truncated limiting function ``product @ g_last``, scaled to mean
-    one under the weights ``eta``."""
-    u = product @ g_last
-    return u / float(eta @ u)
+    one under the weights ``eta``: (d, d), (d,), (d,) give (d,), and leading
+    axes are a batch, each entry with the bits of a batch of one."""
+    u = (product @ g_last[..., None])[..., 0]
+    return u / (eta[..., None, :] @ u[..., None])[..., 0]
 
 
 def qbar_p_inf(model: FKModel, p: int, depth: Optional[int] = None) -> FunctionVector:

@@ -10,15 +10,30 @@ Every backward limit is an ordered product of the nonnegative matrices
 ``Q_q = diag(G_q) M_{q+1}`` read off the path: with depth ``D``,
 ``eta_inf(p)`` is proportional to ``1^T Q_{p-D} ... Q_{p-1}`` and ``h(p)`` to
 ``Q_p ... Q_{p+D-2} G_{p+D-1}``.  The products are reduced pairwise by the
-oracle's product routine, a few batched array calls per position.
+oracle's product routine.
 
 Raw arrays inside, validated objects at the public edges: the chain is
 checked once, when built, and stacks its potentials, its kernels and the
 (env_size, env_size, d, d) table of factors diag(G_s) M_t, so the factors
-along a window are one gather.  ``c_of_y`` reads those stacks and hands
-plain arrays to ``core._cov_raw``, building no measure or function
-object per position.  It keeps the path-window check and rejects a
-non-finite contribution.
+along any number of windows are one gather.  ``c_of_y`` reads those stacks
+and hands plain arrays to ``core._cov_raw``, building no measure or
+function object per position.  It keeps the path-window check and rejects
+a non-finite contribution.
+
+``c_of_y`` reads ahead.  A position the path keeps no value for starts a
+block of later positions, reduced by ``_contributions`` in one batched
+pass: one gather, one product call over the block's windows, one
+covariance call.  Every position takes the arithmetic of a batch of one,
+so its value has the bits of a read on its own.  The path keeps that one
+block (chain, kernel, depth, first position, values), and a read inside
+it is an index.  A block holds at most ``BLOCK_FACTOR_ENTRIES`` (2^16)
+factor entries, 204 positions at depth 40 and d = 2, but at least one
+position.  It ends at the last position the path covers.  Under the
+transport kernel it also ends before a position whose step potential
+exceeds 1, which raises alone.  The block is not pickled.  ``sigma2_env``
+still calls ``c_of_y`` once per position, because the benchmark pins the
+call count (``randenv.c_of_y_calls`` = horizon) until that pin is restated
+as a work invariant.
 
 A model from ``env_model`` is an ``FKModel``, so it keeps the longest exact
 flow ``oracle`` computes on it, as every model does: never pickled, and
@@ -32,6 +47,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import (
     FKError,
@@ -50,6 +66,7 @@ from .core import (
 from .oracle import _limit_function, _ordered_products
 
 BATCH_COUNT = 32  # batch-means default for correlated time averages
+BLOCK_FACTOR_ENTRIES = 2**16  # factor entries one c_of_y read-ahead block may gather
 
 
 class WindowTooShort(FKError):
@@ -122,15 +139,19 @@ class EnvironmentChain:
         return self.family[s][1]
 
     def factors(self, states: np.ndarray) -> np.ndarray:
-        """The matrices ``diag(G_q) M_{q+1}`` along consecutive path states:
-        potential of each state but the last, kernel of each but the first,
-        as a (len(states) - 1, d, d) array read from the factor table."""
-        return self._Q[states[:-1], states[1:]]
+        """The matrices ``diag(G_q) M_{q+1}`` along consecutive path states on
+        the last axis: potential of each state but the last, kernel of each
+        but the first.  States (..., k) give a (..., k - 1, d, d) array read
+        from the factor table in one gather."""
+        return self._Q[states[..., :-1], states[..., 1:]]
 
 
 @dataclass(frozen=True)
 class EnvPath:
-    """Realized environment states over a finite index window."""
+    """Realized environment states over a finite index window.
+
+    A path also keeps the last block of variance contributions ``c_of_y``
+    reduced on it; the block is not pickled."""
 
     states: np.ndarray
     lo: int  # absolute index of states[0]
@@ -141,6 +162,11 @@ class EnvPath:
             raise InvalidModel("environment path must be 1-d and non-empty")
         states.flags.writeable = False
         object.__setattr__(self, "states", states)
+        # (chain, choice, depth, first position, contributions) or None
+        object.__setattr__(self, "_block", None)
+
+    def __reduce__(self):
+        return EnvPath, (self.states, self.lo)
 
     @property
     def hi(self) -> int:
@@ -217,9 +243,9 @@ def env_model(
 
 def _flow(product: np.ndarray) -> np.ndarray:
     """The uniform law carried through a product of factors and normalized:
-    ``1^T product``, scaled to sum one."""
-    w = product.sum(axis=0)
-    return w / w.sum()
+    ``1^T product``, scaled to sum one; leading axes are a batch."""
+    w = product.sum(axis=-2)
+    return w / w.sum(axis=-1, keepdims=True)
 
 
 def eta_inf_env(chain: EnvironmentChain, y: EnvPath, position: int, depth: int) -> ProbMeasure:
@@ -254,6 +280,55 @@ def h_env(chain: EnvironmentChain, y: EnvPath, position: int, depth: int) -> Fun
     return FunctionVector(_limit_function(product, chain._G[states[-1]], base.weights))
 
 
+def _contributions(
+    chain: EnvironmentChain,
+    choice: KernelChoice,
+    y: EnvPath,
+    first: int,
+    last: int,
+    depth: int,
+) -> np.ndarray:
+    """Variance contributions at the positions ``first..last``, as (b,).
+
+    Position ``p`` reads the window of states ``[p-1-D, p+D-1]``; the b
+    windows are one gather, and their 2b window products one batched call of
+    the product routine, so each position takes the arithmetic of a batch of
+    one and its value does not depend on the block around it.  No value is
+    checked here."""
+    b = last - first + 1
+    d = chain.state_dim
+    states = sliding_window_view(y.window(first - 1 - depth, last + depth - 1), 2 * depth + 1)
+    # Row [i, 0] holds Q_{p-1-D} .. Q_{p-2}, row [i, 1] Q_{p-1} .. Q_{p+D-2}.
+    factors = chain.factors(states).reshape(b, 2, depth, d, d)
+    products = _ordered_products(factors[:, :, 1:].reshape(2 * b, depth - 1, d, d))
+    shared, tail = products.reshape(b, 2, d, d).swapaxes(0, 1)
+    mu = _flow(factors[:, 0, 0] @ shared)  # eta_inf(p - 1)
+    h = _limit_function(tail, chain._G[states[:, -1]], _flow(shared @ factors[:, 1, 0]))
+    G = chain._G[states[:, depth]]
+    M = chain._M[states[:, depth + 1]]
+    return _cov_raw(choice, mu, G, M, h, h)
+
+
+def _block_last(
+    chain: EnvironmentChain, choice: KernelChoice, y: EnvPath, position: int, depth: int
+) -> int:
+    """Last position of the read-ahead block that starts at ``position``.
+
+    The block stops at the last position the path window covers, holds at
+    most ``BLOCK_FACTOR_ENTRIES`` factor entries (but at least one position)
+    and, under the transport kernel, ends before the first later position
+    whose step potential has a value above 1, so that position raises alone.
+    """
+    per_position = 2 * depth * chain.state_dim**2
+    last = min(y.hi - depth + 1, position + max(1, BLOCK_FACTOR_ENTRIES // per_position) - 1)
+    if choice is KernelChoice.TRANSPORT and last > position:
+        # The step potential of position q is that of the state at q - 1.
+        over = chain._G.max(axis=1)[y.window(position, last - 1)] > 1.0
+        if over.any():
+            last = position + int(over.argmax())
+    return last
+
+
 def c_of_y(
     chain: EnvironmentChain,
     choice: KernelChoice,
@@ -267,25 +342,48 @@ def c_of_y(
 
     With ``p = position`` and ``D = depth``, both backward limits share the
     product ``Q_{p-D} ... Q_{p-2}``; it and the product behind ``h`` are
-    reduced in one batched call over the window of states ``[p-1-D, p+D-1]``,
-    and finished by the same formulas as ``eta_inf_env`` and ``h_env``.
+    reduced from the window of states ``[p-1-D, p+D-1]`` and finished by
+    the same formulas as ``eta_inf_env`` and ``h_env``.
+
+    Reads ahead: a position the path keeps no value for starts a block of
+    later positions (see ``_block_last``), reduced in one batched pass with
+    the bits of one-position reads.  The path keeps that one block, so
+    reading positions in ascending order reduces each once; a read before
+    the kept block reduces a new one.  ``sigma2_env`` still calls this once
+    per position, because the benchmark pins that call count.
+
+    Errors stay per position.  ``WindowTooShort`` is checked on the caller's
+    own window first.  A block of more than one position is reduced with
+    floating-point warnings off; a position whose value there is not finite
+    is reduced again alone, so it warns as it would alone, and then raises
+    ``InvalidModel``.
     """
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
-    states = y.window(position - 1 - depth, position + depth - 1)
-    d = chain.state_dim
-    # Row 0 holds Q_{p-1-D} .. Q_{p-2}, row 1 holds Q_{p-1} .. Q_{p+D-2}.
-    factors = chain.factors(states).reshape(2, depth, d, d)
-    shared, tail = _ordered_products(factors[:, 1:])
-    mu = _flow(factors[0, 0] @ shared)  # eta_inf(p - 1)
-    h = _limit_function(tail, chain._G[states[-1]], _flow(shared @ factors[1, 0]))
-    G = chain._G[states[depth]]
-    M = chain._M[states[depth + 1]]
-    h = h[None]
-    (value,) = _cov_raw(choice, mu[None], G[None], M[None], h, h)
+    y.window(position - 1 - depth, position + depth - 1)
+    block = y._block
+    if not (
+        block is not None
+        and block[0] is chain
+        and block[1] is choice
+        and block[2] == depth
+        and 0 <= position - block[3] < block[4].size
+    ):
+        last = _block_last(chain, choice, y, position, depth)
+        if last == position:
+            values = _contributions(chain, choice, y, position, position, depth)
+        else:
+            with np.errstate(all="ignore"):
+                values = _contributions(chain, choice, y, position, last, depth)
+        block = (chain, choice, depth, position, values)
+        object.__setattr__(y, "_block", block)
+    values = block[4]
+    value = float(values[position - block[3]])
     if not math.isfinite(value):
+        if values.size > 1:
+            _contributions(chain, choice, y, position, position, depth)
         raise InvalidModel(f"variance contribution at position {position} is {value!r}")
-    return float(value)
+    return value
 
 
 def sigma2_env(

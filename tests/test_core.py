@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import fkclt as fk
-from fkclt.core import DimensionMismatch, InvalidModel, _categorical, _cov_raw
+from fkclt.core import DimensionMismatch, InvalidModel, _categorical, _chain_path, _cov_raw
 
 from conftest import random_model
 
@@ -415,3 +415,34 @@ class TestCategorical:
             assert _categorical(table[0], u).shape == (0,)
             assert _categorical(table, u, rows).shape == (0,)
             self._check_against_references(table, u, rows)
+
+
+def ref_chain_path(cum0, cum_rows, u):
+    """One draw per step: the first from cum0, each later one from the CDF
+    row of its predecessor."""
+    states = np.empty(u.size, dtype=np.int64)
+    cdf = cum0
+    for i in range(u.size):
+        states[i] = _categorical(cdf, u[i : i + 1])[0]
+        cdf = cum_rows[states[i]]
+    return states
+
+
+class TestChainPath:
+    @pytest.mark.parametrize("length", [0, 1, 1000])
+    @pytest.mark.parametrize("d", [1, 2, 3, 8])
+    def test_matches_the_step_loop(self, d, length):
+        gen = np.random.default_rng(31 * d + length)
+        cum0 = np.cumsum(gen.dirichlet(np.ones(d)))
+        cum_rows = np.cumsum(gen.dirichlet(np.ones(d), size=d), axis=1)
+        u = gen.random(length)
+        states = _chain_path(cum0, cum_rows, u)
+        assert states.dtype == np.int64 and states.shape == (length,)
+        assert np.array_equal(states, ref_chain_path(cum0, cum_rows, u))
+
+    def test_zero_probability_moves_are_never_taken(self):
+        # A deterministic cycle 0 -> 1 -> 2 -> 0 whatever the uniforms.
+        cum_rows = np.cumsum(np.roll(np.eye(3), 1, axis=1), axis=1)
+        u = np.random.default_rng(4).random(50)
+        states = _chain_path(np.array([1.0, 1.0, 1.0]), cum_rows, u)
+        assert states.tolist() == [i % 3 for i in range(50)]

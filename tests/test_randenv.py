@@ -1,14 +1,16 @@
 from __future__ import annotations
 
 import math
+import pickle
 
 import numpy as np
 import pytest
 
 import fkclt as fk
-from fkclt.core import InvalidModel
-from fkclt.oracle import _ordered_products
-from fkclt.randenv import WindowTooShort, EnvironmentSchedule
+from fkclt import randenv
+from fkclt.core import FKError, InvalidModel, _cov_raw
+from fkclt.oracle import _limit_function, _ordered_products
+from fkclt.randenv import BLOCK_FACTOR_ENTRIES, WindowTooShort, EnvironmentSchedule, _flow
 
 from conftest import random_chain
 
@@ -113,6 +115,16 @@ class TestConstruction:
         for q in range(len(states) - 1):
             G, M = chain.potential(states[q]).values, chain.kernel(states[q + 1]).rows
             assert np.array_equal(factors[q], G[:, None] * M)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_factors_take_leading_axes(self, d):
+        rng = np.random.default_rng(50 + d)
+        chain = random_chain(rng, 3, d, floor=1e-12)
+        states = rng.integers(0, 3, size=(4, 2, 6))
+        factors = chain.factors(states)
+        assert factors.shape == (4, 2, 5, d, d)
+        for i in np.ndindex(4, 2):
+            assert np.array_equal(factors[i], chain.factors(states[i]))
 
     def test_stationary_solver(self, env_chain):
         pi = fk.stationary_distribution(env_chain.transition)
@@ -345,6 +357,198 @@ class TestCofY:
         for choice in fk.KernelChoice:
             with np.errstate(all="ignore"), pytest.raises(InvalidModel):
                 fk.c_of_y(chain, choice, path, 1, depth=3)
+
+
+def one_position_c(chain, choice, y, position, depth):
+    """c(y) at one position by the one-window arithmetic that c_of_y reduces
+    in blocks: one product call over the window, a batch-of-one covariance."""
+    states = y.window(position - 1 - depth, position + depth - 1)
+    d = chain.state_dim
+    factors = chain.factors(states).reshape(2, depth, d, d)
+    shared, tail = _ordered_products(factors[:, 1:])
+    mu = _flow(factors[0, 0] @ shared)
+    h = _limit_function(tail, chain._G[states[-1]], _flow(shared @ factors[1, 0]))
+    G = chain._G[states[depth]]
+    M = chain._M[states[depth + 1]]
+    (value,) = _cov_raw(choice, mu[None], G[None], M[None], h[None], h[None])
+    return float(value)
+
+
+def cold_c(chain, choice, y, position, depth):
+    """c_of_y on a fresh copy of the path, which keeps no block yet."""
+    return fk.c_of_y(chain, choice, fk.EnvPath(y.states, y.lo), position, depth)
+
+
+def read_outcome(read, *args):
+    """A read's value, or the type and message of what it raised."""
+    try:
+        return read(*args)
+    except FKError as exc:
+        return type(exc), str(exc)
+
+
+class TestReadAhead:
+    """c_of_y reduces blocks of positions and keeps one on the path; every
+    read must give the bits and the errors of a read on its own."""
+
+    @pytest.mark.parametrize("budget", [BLOCK_FACTOR_ENTRIES, 2**9])
+    @pytest.mark.parametrize("depth", [1, 2, 40])
+    @pytest.mark.parametrize("d", [1, 2, 3, 5])
+    def test_any_order_matches_cold_reads(self, monkeypatch, d, depth, budget):
+        monkeypatch.setattr(randenv, "BLOCK_FACTOR_ENTRIES", budget)
+        rng = np.random.default_rng(10 * d + depth)
+        chain = random_chain(rng, 3, d, floor=1e-12)
+        path = fk.sample_env_path(chain, past=depth + 1, horizon=120 + depth, seed=d + depth)
+        positions = np.arange(1, 121)
+        orders = {
+            "ascending": positions,
+            "descending": positions[::-1],
+            "random": rng.permutation(positions),
+        }
+        for choice in fk.KernelChoice:
+            expected = {int(p): one_position_c(chain, choice, path, int(p), depth) for p in positions}
+            for p in positions[::17]:
+                assert cold_c(chain, choice, path, int(p), depth) == expected[int(p)]
+            for order in orders.values():
+                y = fk.EnvPath(path.states, path.lo)
+                for p in order:
+                    assert fk.c_of_y(chain, choice, y, int(p), depth) == expected[int(p)]
+
+    def test_benchmark_path_matches_one_position_reads(self, env_chain):
+        path = fk.sample_env_path(env_chain, past=40, horizon=1040, seed=4242)
+        for choice in fk.KernelChoice:
+            for p in range(1, 1001):
+                value = fk.c_of_y(env_chain, choice, path, p, 40)
+                assert value == one_position_c(env_chain, choice, path, p, 40)
+
+    def test_interleaved_reads_on_one_path(self):
+        rng = np.random.default_rng(8)
+        chains = [random_chain(rng, 2, d, floor=1e-6) for d in (2, 3)]
+        path = fk.sample_env_path(chains[0], past=12, horizon=60, seed=3)
+        reads = [
+            (chain, choice, depth)
+            for chain in chains
+            for choice in fk.KernelChoice
+            for depth in (3, 10)
+        ]
+        for p in range(1, 50):
+            for chain, choice, depth in reads[p % 3 :] + reads[: p % 3]:
+                value = fk.c_of_y(chain, choice, path, p, depth)
+                assert value == one_position_c(chain, choice, path, p, depth)
+
+    @pytest.mark.parametrize(
+        "states",
+        [
+            np.arange(80) % 2,  # alternating
+            (np.isin(np.arange(80), [9, 30, 31, 55])).astype(np.int64),  # sparse
+        ],
+        ids=["alternating", "sparse"],
+    )
+    def test_potential_above_one_raises_where_a_cold_read_does(self, states):
+        # Under transport, a read raises when the state at position - 1 has a
+        # potential above 1; no other read may raise with it.
+        M0 = fk.StochasticKernel([[0.7, 0.3], [0.4, 0.6]])
+        M1 = fk.StochasticKernel([[0.2, 0.8], [0.6, 0.4]])
+        chain = fk.EnvironmentChain(
+            transition=fk.StochasticKernel([[0.5, 0.5], [0.5, 0.5]]),
+            stationary=fk.ProbMeasure([0.5, 0.5]),
+            family=((M0, fk.Potential([0.5, 0.9])), (M1, fk.Potential([0.7, 1.5]))),
+        )
+        path = fk.EnvPath(states, -10)
+        positions = list(range(1, 60))
+        order = positions + positions[::-1]
+        order += list(np.random.default_rng(2).permutation(positions))
+        for choice in fk.KernelChoice:
+            raised = 0
+            y = fk.EnvPath(path.states, path.lo)
+            for p in order:
+                outcome = read_outcome(fk.c_of_y, chain, choice, y, int(p), 8)
+                assert outcome == read_outcome(cold_c, chain, choice, path, int(p), 8)
+                if isinstance(outcome, tuple):
+                    assert choice is fk.KernelChoice.TRANSPORT and path.state(int(p) - 1) == 1
+                    assert outcome[0] is InvalidModel
+                    raised += 1
+                else:
+                    assert outcome == one_position_c(chain, choice, path, int(p), 8)
+            if choice is fk.KernelChoice.TRANSPORT:
+                assert raised == 3 * sum(path.state(p - 1) == 1 for p in positions)
+
+    def test_non_finite_value_raises_only_at_its_position(self, env_chain):
+        # State 1's potentials underflow the products, so every position whose
+        # window meets a run of ten 1s is 0/0; the others must read as usual.
+        tiny = fk.Potential([1e-300, 1e-300])
+        chain = fk.EnvironmentChain(
+            transition=env_chain.transition,
+            stationary=env_chain.stationary,
+            family=(env_chain.family[0], (env_chain.kernel(1), tiny)),
+        )
+        states = np.zeros(120, dtype=np.int64)
+        states[60:70] = 1
+        path = fk.EnvPath(states, -10)
+        for choice in fk.KernelChoice:
+            y = fk.EnvPath(path.states, path.lo)
+            outcomes = []
+            for p in range(1, 100):
+                with np.errstate(all="ignore"):
+                    outcome = read_outcome(fk.c_of_y, chain, choice, y, p, 5)
+                    assert outcome == read_outcome(cold_c, chain, choice, path, p, 5)
+                outcomes.append(outcome)
+            failed = [o for o in outcomes if isinstance(o, tuple)]
+            assert failed and len(failed) < len(outcomes)
+            assert all(o[0] is InvalidModel for o in failed)
+            # The block read from position 1 holds bad positions; reading the
+            # good ones raises no warning (the suite turns warnings to errors).
+            y = fk.EnvPath(path.states, path.lo)
+            for p, outcome in zip(range(1, 100), outcomes):
+                if not isinstance(outcome, tuple):
+                    assert fk.c_of_y(chain, choice, y, p, 5) == outcome
+
+    def test_window_check_comes_first(self, env_chain):
+        path = fk.sample_env_path(env_chain, past=6, horizon=30, seed=8)
+        fk.c_of_y(env_chain, MULTI, path, 1, depth=6)  # keeps a block from 1
+        with pytest.raises(WindowTooShort, match=r"indices \[-6, 6\]"):
+            fk.c_of_y(env_chain, MULTI, path.shift(-1), 1, depth=6)
+        with pytest.raises(WindowTooShort, match=r"indices \[24, 36\]"):
+            fk.c_of_y(env_chain, MULTI, path, 31, depth=6)
+
+    def test_ascending_reads_reduce_each_block_once(self, env_chain, monkeypatch):
+        calls = []
+        inner = randenv._contributions
+
+        def counted(chain, choice, y, first, last, depth):
+            calls.append((first, last))
+            return inner(chain, choice, y, first, last, depth)
+
+        monkeypatch.setattr(randenv, "_contributions", counted)
+        path = fk.sample_env_path(env_chain, past=40, horizon=540, seed=6)
+        for p in range(1, 501):
+            fk.c_of_y(env_chain, MULTI, path, p, 40)
+        size = BLOCK_FACTOR_ENTRIES // (2 * 40 * 2 * 2)
+        assert size == 204
+        assert calls == [(1, size), (size + 1, 2 * size), (2 * size + 1, 500 + 1)]
+
+    def test_path_pickles_to_the_same_bytes_after_use(self, env_chain):
+        path = fk.sample_env_path(env_chain, past=40, horizon=100, seed=12)
+        before = pickle.dumps(path)
+        for p in range(1, 20):
+            fk.c_of_y(env_chain, MULTI, path, p, 40)
+        assert path._block is not None
+        assert pickle.dumps(path) == before
+        copy = pickle.loads(before)
+        assert copy._block is None
+        assert np.array_equal(copy.states, path.states) and copy.lo == path.lo
+        assert fk.c_of_y(env_chain, MULTI, copy, 5, 40) == fk.c_of_y(env_chain, MULTI, path, 5, 40)
+
+    @pytest.mark.parametrize("d, depth", [(2, 40), (3, 7), (8, 2000)])
+    def test_block_stays_within_the_budget(self, d, depth):
+        rng = np.random.default_rng(d)
+        chain = random_chain(rng, 2, d, floor=1e-3)
+        path = fk.sample_env_path(chain, past=depth + 1, horizon=depth + 600, seed=d)
+        fk.c_of_y(chain, MULTI, path, 1, depth)
+        per_position = 2 * depth * d * d
+        size = path._block[4].size
+        assert size == max(1, BLOCK_FACTOR_ENTRIES // per_position)
+        assert size == 1 or size * per_position <= BLOCK_FACTOR_ENTRIES
 
 
 class TestReferenceLoops:
