@@ -443,14 +443,24 @@ def _ordered_products(stack: np.ndarray) -> np.ndarray:
     log2(k) batched products.  Each product is scaled to max entry 1 at every
     level, so long products do not underflow; the scale is dropped, and only
     ratios of entries of a result are meaningful.  k = 0 gives the identity.
+    The stack may be a view with any strides on its first two axes.
+
+    Each product's max is taken across its d*d entry planes, which are made
+    contiguous first, rather than along its short last axis of d*d entries,
+    which numpy reduces far more slowly.  A max is exact in any order and
+    passes NaN on, so the scale has the bits, and raises the warnings, of a
+    max along that axis.
     """
     b, k, d, _ = stack.shape
     if k == 0:
         return np.broadcast_to(np.eye(d), (b, d, d))
     while k > 1:
         paired = stack[:, 0 : k - 1 : 2] @ stack[:, 1::2]
-        flat = paired.reshape(b, -1, d * d)  # a view: scaling it scales paired
-        flat /= flat.max(axis=2, keepdims=True)
+        # Inline, so that no name keeps the planes' copy, or this level's
+        # products, alive into the next level.
+        paired /= (
+            np.ascontiguousarray(paired.reshape(b, -1, d * d).T).max(axis=0).T[..., None, None]
+        )
         if k % 2:  # the odd factor out is the last one; it joins the next level
             paired = np.concatenate([paired, stack[:, k - 1 :]], axis=1)
         stack = paired

@@ -21,13 +21,17 @@ function object per position.  It keeps the path-window check and rejects
 a non-finite contribution.
 
 ``c_of_y`` reads ahead.  A position the path keeps no value for starts a
-block of later positions, reduced by ``_contributions`` in one batched
-pass: one gather, one product call over the block's windows, one
-covariance call.  Every position takes the arithmetic of a batch of one,
-so its value has the bits of a read on its own.  The path keeps that one
-block (chain, kernel, depth, first position, values), and a read inside
-it is an index.  A block holds at most ``BLOCK_FACTOR_ENTRIES`` (2^16)
-factor entries, 204 positions at depth 40 and d = 2, but at least one
+block of b later positions, reduced by ``_contributions`` in one batched
+pass: one factor gather over the block's path window, one product call
+over its b+D windows of D-1 factors (the tail behind ``h`` at ``p`` is the
+shared product of both backward limits at ``p+D``, so each is reduced
+once; a block shorter than D reduces its 2b windows), one covariance
+call.  Every window takes the arithmetic of a batch of one, so a
+position's value has the bits of a read on its own.  The path keeps that
+one block (chain, kernel, depth, first position, values), and a read
+inside it is an index.  A block holds at most ``BLOCK_FACTOR_ENTRIES``
+(2^16) float64 entries at once, factors, products and covariance arrays
+together (232 positions at depth 40 and d = 2), but at least one
 position.  It ends at the last position the path covers.  Under the
 transport kernel it also ends before a position whose step potential
 exceeds 1, which raises alone.  The block is not pickled.  ``sigma2_env``
@@ -66,7 +70,7 @@ from .core import (
 from .oracle import _limit_function, _ordered_products
 
 BATCH_COUNT = 32  # batch-means default for correlated time averages
-BLOCK_FACTOR_ENTRIES = 2**16  # factor entries one c_of_y read-ahead block may gather
+BLOCK_FACTOR_ENTRIES = 2**16  # float64 entries one c_of_y read-ahead block may hold at once
 
 
 class WindowTooShort(FKError):
@@ -290,22 +294,31 @@ def _contributions(
 ) -> np.ndarray:
     """Variance contributions at the positions ``first..last``, as (b,).
 
-    Position ``p`` reads the window of states ``[p-1-D, p+D-1]``; the b
-    windows are one gather, and their 2b window products one batched call of
-    the product routine, so each position takes the arithmetic of a batch of
-    one and its value does not depend on the block around it.  No value is
-    checked here."""
+    Position ``p`` reads the states ``[p-1-D, p+D-1]``: the shared product
+    ``Q_{p-D} ... Q_{p-2}`` of both backward limits, and the tail
+    ``Q_p ... Q_{p+D-2}`` behind ``h``.  The tail of ``p`` is the shared
+    product of ``p+D``, so the block gathers its factors once, over the path
+    states ``[first-1-D, last+D-1]``, takes the (D-1)-factor windows as
+    views, and reduces each window it needs once, in one call of the product
+    routine: the b+D windows from ``first`` on, or, for a block shorter than
+    D, the 2b that serve a position.  Every window takes the arithmetic of a
+    batch of one, so a position's value does not depend on the block around
+    it.  No value is checked here."""
     b = last - first + 1
-    d = chain.state_dim
-    states = sliding_window_view(y.window(first - 1 - depth, last + depth - 1), 2 * depth + 1)
-    # Row [i, 0] holds Q_{p-1-D} .. Q_{p-2}, row [i, 1] Q_{p-1} .. Q_{p+D-2}.
-    factors = chain.factors(states).reshape(b, 2, depth, d, d)
-    products = _ordered_products(factors[:, :, 1:].reshape(2 * b, depth - 1, d, d))
-    shared, tail = products.reshape(b, 2, d, d).swapaxes(0, 1)
-    mu = _flow(factors[:, 0, 0] @ shared)  # eta_inf(p - 1)
-    h = _limit_function(tail, chain._G[states[:, -1]], _flow(shared @ factors[:, 1, 0]))
-    G = chain._G[states[:, depth]]
-    M = chain._M[states[:, depth + 1]]
+    states = y.window(first - 1 - depth, last + depth - 1)
+    factors = chain.factors(states)  # factor j is Q_{first-1-D+j}
+    # Window w holds factors w+1 .. w+D-1: position first+o reads window o
+    # as its shared product and window o+D as its tail.
+    windows = np.moveaxis(sliding_window_view(factors[1:], depth - 1, axis=0), -1, 1)
+    if b < depth:  # windows b .. D-1 serve no position
+        windows = np.concatenate([windows[:b], windows[depth:]])
+    products = _ordered_products(windows)
+    shared, tail = products[:b], products[-b:]
+    mu = _flow(factors[:b] @ shared)  # eta_inf(p - 1)
+    eta = _flow(shared @ factors[depth : depth + b])  # eta_inf(p)
+    h = _limit_function(tail, chain._G[states[2 * depth :]], eta)
+    G = chain._G[states[depth : depth + b]]
+    M = chain._M[states[depth + 1 : depth + 1 + b]]
     return _cov_raw(choice, mu, G, M, h, h)
 
 
@@ -315,12 +328,27 @@ def _block_last(
     """Last position of the read-ahead block that starts at ``position``.
 
     The block stops at the last position the path window covers, holds at
-    most ``BLOCK_FACTOR_ENTRIES`` factor entries (but at least one position)
-    and, under the transport kernel, ends before the first later position
-    whose step potential has a value above 1, so that position raises alone.
+    most ``BLOCK_FACTOR_ENTRIES`` float64 entries at once (but at least one
+    position) and, under the transport kernel, ends before the first later
+    position whose step potential has a value above 1, so that position
+    raises alone.
+
+    A block of b positions holds its b + 2D - 1 factors and, per position,
+    about 8d(d + 1) entries of covariance arrays.  At each product level a
+    window it reduces holds about (D - 1)(d^2 + 1) entries: the products,
+    their copy for the max, and the max.  A block of at least D positions
+    reduces b + D windows; a shorter one reduces 2b, copied together first,
+    which doubles their cost.  So a block of D - 1 positions costs more than
+    one of D, and the largest block within the budget is found on each side.
     """
-    per_position = 2 * depth * chain.state_dim**2
-    last = min(y.hi - depth + 1, position + max(1, BLOCK_FACTOR_ENTRIES // per_position) - 1)
+    d2 = chain.state_dim**2
+    window = (depth - 1) * (d2 + 1)
+    room = BLOCK_FACTOR_ENTRIES - 2 * depth * d2
+    per_position = d2 + 8 * (d2 + chain.state_dim)
+    size = (room - depth * window) // (per_position + window)
+    if size < depth:
+        size = min(depth - 1, room // (per_position + 4 * window))
+    last = min(y.hi - depth + 1, position + max(1, size) - 1)
     if choice is KernelChoice.TRANSPORT and last > position:
         # The step potential of position q is that of the state at q - 1.
         over = chain._G.max(axis=1)[y.window(position, last - 1)] > 1.0

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import math
 import pickle
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -73,6 +75,24 @@ def ref_c(chain, choice, y, position, depth):
         h,
         h,
     )
+
+
+def last_axis_max_products(stack):
+    """The pairwise product routine with each level's scale taken as a max
+    along the d*d entries of each product, the form the routine's
+    column max must reproduce bit for bit."""
+    b, k, d, _ = stack.shape
+    if k == 0:
+        return np.broadcast_to(np.eye(d), (b, d, d))
+    while k > 1:
+        paired = stack[:, 0 : k - 1 : 2] @ stack[:, 1::2]
+        flat = paired.reshape(b, -1, d * d)
+        flat /= flat.max(axis=2, keepdims=True)
+        if k % 2:
+            paired = np.concatenate([paired, stack[:, k - 1 :]], axis=1)
+        stack = paired
+        k = stack.shape[1]
+    return stack[:, 0]
 
 
 def ref_product(stack):
@@ -523,8 +543,8 @@ class TestReadAhead:
         path = fk.sample_env_path(env_chain, past=40, horizon=540, seed=6)
         for p in range(1, 501):
             fk.c_of_y(env_chain, MULTI, path, p, 40)
-        size = BLOCK_FACTOR_ENTRIES // (2 * 40 * 2 * 2)
-        assert size == 204
+        size = randenv._block_last(env_chain, MULTI, path, 1, 40)
+        assert size == 232
         assert calls == [(1, size), (size + 1, 2 * size), (2 * size + 1, 500 + 1)]
 
     def test_path_pickles_to_the_same_bytes_after_use(self, env_chain):
@@ -539,16 +559,59 @@ class TestReadAhead:
         assert np.array_equal(copy.states, path.states) and copy.lo == path.lo
         assert fk.c_of_y(env_chain, MULTI, copy, 5, 40) == fk.c_of_y(env_chain, MULTI, path, 5, 40)
 
-    @pytest.mark.parametrize("d, depth", [(2, 40), (3, 7), (8, 2000)])
+    @pytest.mark.parametrize(
+        "d, depth", [(2, 40), (5, 200), (1, 1), (2, 2), (3, 7), (3, 40), (8, 3), (8, 2000)]
+    )
     def test_block_stays_within_the_budget(self, d, depth):
+        # The budget bounds what a block holds at once, in float64 entries:
+        # the traced peak of the read that reduces it, for both kernels.
         rng = np.random.default_rng(d)
         chain = random_chain(rng, 2, d, floor=1e-3)
-        path = fk.sample_env_path(chain, past=depth + 1, horizon=depth + 600, seed=d)
-        fk.c_of_y(chain, MULTI, path, 1, depth)
-        per_position = 2 * depth * d * d
-        size = path._block[4].size
-        assert size == max(1, BLOCK_FACTOR_ENTRIES // per_position)
-        assert size == 1 or size * per_position <= BLOCK_FACTOR_ENTRIES
+        path = fk.sample_env_path(chain, past=depth + 1, horizon=depth + 4000, seed=d)
+        for choice in fk.KernelChoice:
+            fk.c_of_y(chain, choice, fk.EnvPath(path.states, path.lo), 1, depth)  # warm
+            y = fk.EnvPath(path.states, path.lo)
+            tracemalloc.start()
+            try:
+                fk.c_of_y(chain, choice, y, 1, depth)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            size = y._block[4].size
+            if (d, depth) == (8, 2000):
+                assert size == 1  # one position alone is over the budget
+            else:
+                assert size > 1 and peak <= 8 * BLOCK_FACTOR_ENTRIES
+
+    @pytest.mark.parametrize("depth", [1, 2, 7])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_block_sizes_near_the_depth_match_one_position_reads(self, monkeypatch, d, depth):
+        # Blocks of b < D positions reduce 2b windows and longer ones b + D;
+        # depth 1 reduces windows of no factors.  The budget cannot give
+        # every size (a block just short of D costs more than one of D), so
+        # the block end is set directly.
+        rng = np.random.default_rng(7 * d + depth)
+        chain = random_chain(rng, 3, d, floor=1e-9)
+        path = fk.sample_env_path(chain, past=depth + 1, horizon=40 + depth, seed=d * depth)
+        positions = [int(p) for p in range(1, 41)]
+        orders = [positions, positions[::-1], [int(p) for p in rng.permutation(positions)]]
+        expected = {
+            choice: {p: one_position_c(chain, choice, path, p, depth) for p in positions}
+            for choice in fk.KernelChoice
+        }
+        sizes = {b for b in (1, depth - 1, depth, depth + 1, 2 * depth + 1) if b >= 1}
+        for b in sorted(sizes):
+
+            def block_last(chain, choice, y, position, depth, b=b):
+                return min(y.hi - depth + 1, position + b - 1)
+
+            monkeypatch.setattr(randenv, "_block_last", block_last)
+            for choice in fk.KernelChoice:
+                for order in orders:
+                    y = fk.EnvPath(path.states, path.lo)
+                    for p in order:
+                        assert fk.c_of_y(chain, choice, y, p, depth) == expected[choice][p]
+                    assert y._block[4].size == min(b, y.hi - depth + 2 - y._block[3])
 
 
 class TestReferenceLoops:
@@ -624,6 +687,33 @@ class TestOrderedProducts:
         for b in range(2):
             ref = ref_product(stack[b])
             np.testing.assert_allclose(out[b] / out[b].max(), ref, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("b", [1, 7])
+    @pytest.mark.parametrize("d", [1, 2, 3, 5])
+    def test_scale_matches_the_last_axis_max(self, d, b):
+        rng = np.random.default_rng(10 * d + b)
+        for k in range(42):
+            stack = rng.random((b, k, d, d)) * 10.0 ** rng.uniform(-30, 30, (b, k, 1, 1))
+            np.testing.assert_array_equal(_ordered_products(stack), last_axis_max_products(stack))
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_zero_inf_and_nan_entries_match_the_last_axis_max(self, d):
+        # Bits, NaN for NaN, and the floating-point warnings of the reference.
+        rng = np.random.default_rng(d)
+        specials = np.array([0.0, np.inf, np.nan])
+        for k in (1, 2, 3, 6, 11):
+            for _ in range(20):
+                stack = rng.random((7, k, d, d))
+                hit = rng.random(stack.shape) < 0.1
+                stack[hit] = rng.choice(specials, size=int(hit.sum()))
+                outcomes = []
+                for routine in (_ordered_products, last_axis_max_products):
+                    with warnings.catch_warnings(record=True) as caught:
+                        warnings.simplefilter("always")
+                        out = routine(stack)
+                    outcomes.append((out, sorted({str(w.message) for w in caught})))
+                np.testing.assert_array_equal(outcomes[0][0], outcomes[1][0])
+                assert outcomes[0][1] == outcomes[1][1]
 
     def test_long_product_does_not_underflow(self):
         rng = np.random.default_rng(5)
