@@ -4,6 +4,11 @@ Both come with an independent cross-validation oracle that shares no code
 with the semigroup machinery: direct killed-chain simulation for absorption
 survival probabilities, and the classical scaled forward recursion for HMM
 marginal likelihoods.
+
+The killed chains run ``SURVIVAL_CHUNK`` at a time.  Each chunk jumps one
+PCG64 stream ahead to its own uniforms, so every chain reads the same
+uniforms for any chunk layout, and memory is O(``SURVIVAL_CHUNK``) whatever
+the number of trials.
 """
 
 from __future__ import annotations
@@ -29,6 +34,8 @@ from .core import (
 )
 from .oracle import fixed_point_eta_inf, propagate
 from .randenv import EnvironmentChain, stationary_distribution
+
+SURVIVAL_CHUNK = 1 << 16  # killed chains one survival_mc_table chunk holds at once
 
 
 @dataclass(frozen=True)
@@ -61,21 +68,39 @@ def absorption_build(M: StochasticKernel, G: Potential, eta0: ProbMeasure) -> FK
 def survival_mc_table(model: AbsorptionModel, n: int, trials: int, seed: int) -> np.ndarray:
     """Surviving fraction of ``trials`` killed chains at horizons 0..n, an
     estimate of P(T >= k) at entry k that shares nothing with the semigroup
-    code: each chain survives a step with probability G(x), then moves."""
+    code: each chain survives a step with probability G(x), then moves.
+
+    One PCG64 stream from ``seed`` feeds all chains: chain i starts from
+    uniform i and at horizon h reads uniform (2h-1)T + i to survive and
+    2hT + i to move (T = ``trials``).  The chains run ``SURVIVAL_CHUNK`` at
+    a time, each chunk placing the stream at its own uniforms by jump-ahead,
+    so memory is O(``SURVIVAL_CHUNK``) whatever T is and the table is the
+    same for any chunk layout.  Only live chains are moved, and a chunk
+    stops when none is left."""
     if trials < 100:
         raise ValueError(f"need at least 100 trials, got {trials}")
     if n < 0:
         raise ValueError(f"step count must be >= 0, got {n}")
-    gen = np.random.Generator(np.random.PCG64(int(seed) & 0xFFFFFFFFFFFFFFFF))
-    states = _categorical(np.cumsum(model.eta0.weights), gen.random(trials))
+    cum0 = np.cumsum(model.eta0.weights)
     cum_rows = np.cumsum(model.M.rows, axis=1)
-    alive = np.ones(trials, dtype=bool)
-    fractions = np.ones(n + 1)
-    for horizon in range(1, n + 1):
-        alive &= gen.random(trials) < model.G.values[states]
-        states = _categorical(cum_rows, gen.random(trials), states)
-        fractions[horizon] = alive.mean()
-    return fractions
+    survivors = np.zeros(n + 1, dtype=np.int64)
+    survivors[0] = trials
+    for first in range(0, trials, SURVIVAL_CHUNK):
+        size = min(SURVIVAL_CHUNK, trials - first)
+        bits = np.random.PCG64(int(seed) & 0xFFFFFFFFFFFFFFFF).advance(first)
+        gen = np.random.Generator(bits)
+        states = _categorical(cum0, gen.random(size))
+        live = np.arange(size)
+        for horizon in range(1, n + 1):
+            bits.advance(trials - size)
+            kept = gen.random(size)[live] < model.G.values[states]
+            live, states = live[kept], states[kept]
+            bits.advance(trials - size)
+            states = _categorical(cum_rows, gen.random(size)[live], states)
+            survivors[horizon] += live.size
+            if not live.size:
+                break
+    return survivors / trials
 
 
 def survival_mc_oracle(model: AbsorptionModel, n: int, trials: int, seed: int) -> tuple:

@@ -60,7 +60,9 @@ from .core import (
 
 FIXED_POINT_TOL = 1e-13
 ITERATION_CAP = 10**6
-BETA_FIT_FLOOR = 1e-14  # log-fits ignore values at or below double-precision noise
+# log-fits ignore betas at or below this floor: a beta carries about 1e-16 of
+# absolute rounding noise, at most 1e-6 relative above the floor
+BETA_FIT_FLOOR = 1e-10
 SERIES_TAIL_TARGET = 36.0  # default truncation depth T = ceil(36 / lambda_hat)
 
 

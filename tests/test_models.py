@@ -1,13 +1,15 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import fkclt as fk
-from fkclt.core import InvalidModel
-from fkclt.models import hmm_env_chain, hmm_filter
+from fkclt import models
+from fkclt.core import InvalidModel, _categorical
+from fkclt.models import SURVIVAL_CHUNK, hmm_env_chain, hmm_filter
 from fkclt.randenv import EnvPath, eta_inf_env
 
 MULTI = fk.KernelChoice.MULTINOMIAL
@@ -55,6 +57,66 @@ class TestAbsorption:
         am = fk.AbsorptionModel(step.M, step.G, two_state.eta0)
         with pytest.raises(ValueError):
             fk.survival_mc_oracle(am, 1, trials=99, seed=1)
+
+
+def ref_survival_table(model, n, trials, seed):
+    """The whole-array killed-chain loop: every trial in one array, dead
+    chains still drawn and moved."""
+    gen = np.random.Generator(np.random.PCG64(int(seed) & 0xFFFFFFFFFFFFFFFF))
+    states = _categorical(np.cumsum(model.eta0.weights), gen.random(trials))
+    cum_rows = np.cumsum(model.M.rows, axis=1)
+    alive = np.ones(trials, dtype=bool)
+    fractions = np.ones(n + 1)
+    for horizon in range(1, n + 1):
+        alive &= gen.random(trials) < model.G.values[states]
+        states = _categorical(cum_rows, gen.random(trials), states)
+        fractions[horizon] = alive.mean()
+    return fractions
+
+
+def random_absorption(rng, d, low=0.05, high=0.95):
+    M = rng.random((d, d)) + 0.05
+    eta0 = rng.random(d) + 0.1
+    return fk.AbsorptionModel(
+        fk.StochasticKernel(M / M.sum(axis=1, keepdims=True)),
+        fk.Potential(rng.uniform(low, high, d)),
+        fk.ProbMeasure(eta0 / eta0.sum()),
+    )
+
+
+class TestSurvivalChunks:
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_chunks_match_the_whole_array_loop(self, monkeypatch, d):
+        # 64-trial chunks: 128 trials fill two whole chunks, the others end
+        # on a part chunk.
+        monkeypatch.setattr(models, "SURVIVAL_CHUNK", 64)
+        rng = np.random.default_rng(d)
+        for trials in (100, 127, 128, 129, 1000):
+            for n in (0, 1, 7, 40):
+                am = random_absorption(rng, d)
+                seed = int(rng.integers(1 << 62))
+                got = models.survival_mc_table(am, n, trials, seed)
+                assert np.array_equal(got, ref_survival_table(am, n, trials, seed))
+
+    def test_early_stop_when_every_chain_dies(self, monkeypatch):
+        monkeypatch.setattr(models, "SURVIVAL_CHUNK", 64)
+        am = random_absorption(np.random.default_rng(7), 3, low=0.01, high=0.05)
+        for trials in (100, 1000):
+            want = ref_survival_table(am, 40, trials, 11)
+            assert want[-1] == 0.0  # every chain dies well before n
+            assert np.array_equal(models.survival_mc_table(am, 40, trials, 11), want)
+
+    def test_memory_does_not_grow_with_trials(self, two_state):
+        step = two_state.step(0)
+        am = fk.AbsorptionModel(step.M, step.G, two_state.eta0)
+        for trials in (10**6, 4 * 10**6):
+            tracemalloc.start()
+            try:
+                models.survival_mc_table(am, 5, trials, 3)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 64 * SURVIVAL_CHUNK
 
 
 class TestYaglom:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import math
 import pickle
 
@@ -199,6 +200,20 @@ class TestContractionProfile:
     def test_requires_two_steps(self, two_state):
         with pytest.raises(ValueError):
             fk.contraction_profile(two_state, 1)
+
+    @pytest.mark.parametrize("signs", [(1,), (-1,), (1, -1), (-1, 1)])
+    def test_fit_is_stable_under_rounding_noise(self, two_state, monkeypatch, signs):
+        # A beta carries about 1e-16 of absolute rounding noise; moving each
+        # one by that much must move the fitted a_hat and lambda_hat by less
+        # than 1e-6 relative (a floor of 1e-14 moved them by 6.8e-4).
+        base = fk.contraction_profile(two_state)
+        noise = itertools.cycle(signs)
+        dobrushin = oracle.dobrushin
+        monkeypatch.setattr(oracle, "dobrushin", lambda K: dobrushin(K) + next(noise) * 1e-16)
+        moved = fk.contraction_profile(two_state)
+        assert abs(moved.a_hat / base.a_hat - 1.0) < 1e-6
+        assert abs(moved.lambda_hat / base.lambda_hat - 1.0) < 1e-6
+        assert oracle.default_series_depth(base.lambda_hat) == 29
 
     @pytest.mark.parametrize("G", [[5e-324, 1.0], [5e-324, 2.0], [1e-320, 1e5]])
     def test_potential_ratio_beyond_the_float_range(self, G):
