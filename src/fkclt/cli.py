@@ -123,6 +123,8 @@ def _load_model_file(path: str) -> dict:
             raw = fh.read()
     except OSError as exc:
         raise CliError(EXIT_NO_FILE, f"cannot read model file {path!r}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise CliError(EXIT_SCHEMA, f"model file {path!r} is not UTF-8: {exc}") from exc
     try:
         obj = json.loads(raw)
     except json.JSONDecodeError as exc:
@@ -158,7 +160,7 @@ def _build_model(obj: dict, path: str) -> tuple:
         raise CliError(EXIT_SCHEMA, f"unknown field value kind={kind!r} in {path!r}")
     required, optional = _MODEL_FIELDS[kind]
     _check_fields(obj, ("schema", "kind", *required), optional, path)
-    if obj["schema"] != SCHEMA_VERSION:
+    if type(obj["schema"]) is not int or obj["schema"] != SCHEMA_VERSION:  # true and 1.0 equal 1
         raise CliError(EXIT_SCHEMA, f"unsupported schema version {obj['schema']!r} in {path}")
 
     def array(key, source=obj):

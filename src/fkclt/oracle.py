@@ -214,12 +214,20 @@ def q_pn_apply(model: FKModel, p: int, n: int, f: ArrayLike) -> FunctionVector:
     return FunctionVector(u)
 
 
-def qbar_pn_one(model: FKModel, p: int, n: int) -> FunctionVector:
-    """Normalized semigroup column: Q_{p,n}(1) scaled to have eta_p-mean one."""
+def _semigroup(model: FKModel, p: int, n: int) -> np.ndarray:
+    """The weighted semigroup ``Q_{p,n}`` as the ordered product of the
+    factors ``diag(G) M`` of steps ``p..n-1``, after the window check; it is
+    scaled as ``_ordered_products`` scales, so only its ratios count."""
     _check_window(p, n)
     G, M = _stack(model, p, n)
-    eta_p = _kept_flow(model, p)[0][p]
     (product,) = _ordered_products((G[:, :, None] * M)[None])
+    return product
+
+
+def qbar_pn_one(model: FKModel, p: int, n: int) -> FunctionVector:
+    """Normalized semigroup column: Q_{p,n}(1) scaled to have eta_p-mean one."""
+    product = _semigroup(model, p, n)
+    eta_p = _kept_flow(model, p)[0][p]
     return FunctionVector(_limit_function(product, np.ones(model.d), eta_p))
 
 
@@ -229,17 +237,14 @@ def d_pn(model: FKModel, p: int, n: int, f: ArrayLike) -> FunctionVector:
     values = as_values(f)
     _check_same_d(model.d, values.size)
     etas = _kept_flow(model, n)[0]
-    G, M = _stack(model, p, n)
-    (product,) = _ordered_products((G[:, :, None] * M)[None])
+    product = _semigroup(model, p, n)
     centered = product @ (values - float(etas[n] @ values))
     return FunctionVector(centered / float(etas[p] @ product.sum(axis=1)))
 
 
 def markov_pn(model: FKModel, p: int, n: int) -> StochasticKernel:
     """Markov kernel obtained by row-normalizing the weighted semigroup."""
-    _check_window(p, n)
-    G, M = _stack(model, p, n)
-    (Q,) = _ordered_products((G[:, :, None] * M)[None])
+    Q = _semigroup(model, p, n)
     return StochasticKernel(Q / Q.sum(axis=1, keepdims=True))
 
 

@@ -20,24 +20,20 @@ and hands plain arrays to ``core._cov_raw``, building no measure or
 function object per position.  It keeps the path-window check and rejects
 a non-finite contribution.
 
-``c_of_y`` reads ahead.  A position the path keeps no value for starts a
-block of b later positions, reduced by ``_contributions`` in one batched
-pass: one factor gather over the block's path window, one product call
-over its b+D windows of D-1 factors (the tail behind ``h`` at ``p`` is the
-shared product of both backward limits at ``p+D``, so each is reduced
-once; a block shorter than D reduces its 2b windows), one covariance
-call.  Every window takes the arithmetic of a batch of one, so a
-position's value has the bits of a read on its own.  The path keeps that
-one block (chain, kernel, depth, first position, values), and a read
-inside it is an index.  A block holds at most ``BLOCK_FACTOR_ENTRIES``
-(2^16) float64 entries at once, factors, products and covariance arrays
-together (232 positions at depth 40 and d = 2), but at least one
-position.  It ends at the last position the path covers.  Under the
-transport kernel it also ends before a position whose step potential
-exceeds 1, which raises alone.  The block is not pickled.  ``sigma2_env``
-still calls ``c_of_y`` once per position, because the benchmark pins the
-call count (``randenv.c_of_y_calls`` = horizon) until that pin is restated
-as a work invariant.
+``sigma2_env`` reduces its horizon in consecutive blocks of positions,
+each by ``_contributions`` in one batched pass: one factor gather over the
+block's path window, one product call over its b+D windows of D-1 factors
+(the tail behind ``h`` at ``p`` is the shared product of both backward
+limits at ``p+D``, so each is reduced once; a block shorter than D reduces
+its 2b windows), one covariance call.  Every window takes the arithmetic of
+a batch of one, so a position's value has the bits of a read on its own.
+A block holds at most ``BLOCK_FACTOR_ENTRIES`` (2^16) float64 entries at
+once, factors, products and covariance arrays together (232 positions at
+depth 40 and d = 2), but at least one position.  The path ``sigma2_env``
+samples keeps the values, and ``sigma2_env`` still reads each through
+``c_of_y``, because the benchmark pins the call count
+(``randenv.c_of_y_calls`` = horizon) until that pin is restated as a work
+invariant.  Any other ``c_of_y`` read reduces its position alone.
 
 A model from ``env_model`` is an ``FKModel``, so it keeps the longest exact
 flow ``oracle`` computes on it, as every model does: never pickled, and
@@ -70,7 +66,7 @@ from .core import (
 from .oracle import _limit_function, _ordered_products
 
 BATCH_COUNT = 32  # batch-means default for correlated time averages
-BLOCK_FACTOR_ENTRIES = 2**16  # float64 entries one c_of_y read-ahead block may hold at once
+BLOCK_FACTOR_ENTRIES = 2**16  # float64 entries one sigma2_env block may hold at once
 
 
 class WindowTooShort(FKError):
@@ -154,8 +150,8 @@ class EnvironmentChain:
 class EnvPath:
     """Realized environment states over a finite index window.
 
-    A path also keeps the last block of variance contributions ``c_of_y``
-    reduced on it; the block is not pickled."""
+    The path ``sigma2_env`` samples also keeps the variance contributions
+    it reduced along it; they are not pickled."""
 
     states: np.ndarray
     lo: int  # absolute index of states[0]
@@ -166,8 +162,8 @@ class EnvPath:
             raise InvalidModel("environment path must be 1-d and non-empty")
         states.flags.writeable = False
         object.__setattr__(self, "states", states)
-        # (chain, choice, depth, first position, contributions) or None
-        object.__setattr__(self, "_block", None)
+        # (chain, choice, depth, contributions at positions 1..) or None
+        object.__setattr__(self, "_kept", None)
 
     def __reduce__(self):
         return EnvPath, (self.states, self.lo)
@@ -322,16 +318,10 @@ def _contributions(
     return _cov_raw(choice, mu, G, M, h, h)
 
 
-def _block_last(
-    chain: EnvironmentChain, choice: KernelChoice, y: EnvPath, position: int, depth: int
-) -> int:
-    """Last position of the read-ahead block that starts at ``position``.
-
-    The block stops at the last position the path window covers, holds at
-    most ``BLOCK_FACTOR_ENTRIES`` float64 entries at once (but at least one
-    position) and, under the transport kernel, ends before the first later
-    position whose step potential has a value above 1, so that position
-    raises alone.
+def _block_size(d: int, depth: int) -> int:
+    """Positions in one of ``sigma2_env``'s blocks at state dimension ``d``:
+    the most that hold at most ``BLOCK_FACTOR_ENTRIES`` float64 entries at
+    once, but at least one.
 
     A block of b positions holds its b + 2D - 1 factors and, per position,
     about 8d(d + 1) entries of covariance arrays.  At each product level a
@@ -341,20 +331,14 @@ def _block_last(
     which doubles their cost.  So a block of D - 1 positions costs more than
     one of D, and the largest block within the budget is found on each side.
     """
-    d2 = chain.state_dim**2
+    d2 = d * d
     window = (depth - 1) * (d2 + 1)
     room = BLOCK_FACTOR_ENTRIES - 2 * depth * d2
-    per_position = d2 + 8 * (d2 + chain.state_dim)
+    per_position = d2 + 8 * (d2 + d)
     size = (room - depth * window) // (per_position + window)
     if size < depth:
         size = min(depth - 1, room // (per_position + 4 * window))
-    last = min(y.hi - depth + 1, position + max(1, size) - 1)
-    if choice is KernelChoice.TRANSPORT and last > position:
-        # The step potential of position q is that of the state at q - 1.
-        over = chain._G.max(axis=1)[y.window(position, last - 1)] > 1.0
-        if over.any():
-            last = position + int(over.argmax())
-    return last
+    return max(1, size)
 
 
 def c_of_y(
@@ -373,43 +357,21 @@ def c_of_y(
     reduced from the window of states ``[p-1-D, p+D-1]`` and finished by
     the same formulas as ``eta_inf_env`` and ``h_env``.
 
-    Reads ahead: a position the path keeps no value for starts a block of
-    later positions (see ``_block_last``), reduced in one batched pass with
-    the bits of one-position reads.  The path keeps that one block, so
-    reading positions in ascending order reduces each once; a read before
-    the kept block reduces a new one.  ``sigma2_env`` still calls this once
-    per position, because the benchmark pins that call count.
-
-    Errors stay per position.  ``WindowTooShort`` is checked on the caller's
-    own window first.  A block of more than one position is reduced with
-    floating-point warnings off; a position whose value there is not finite
-    is reduced again alone, so it warns as it would alone, and then raises
+    ``WindowTooShort`` is checked first.  On the path ``sigma2_env``
+    sampled, a read with its chain, kernel and depth is an index into the
+    values it kept, which have the bits of a read on its own; any other
+    read reduces the position alone.  A value that is not finite raises
     ``InvalidModel``.
     """
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
     y.window(position - 1 - depth, position + depth - 1)
-    block = y._block
-    if not (
-        block is not None
-        and block[0] is chain
-        and block[1] is choice
-        and block[2] == depth
-        and 0 <= position - block[3] < block[4].size
-    ):
-        last = _block_last(chain, choice, y, position, depth)
-        if last == position:
-            values = _contributions(chain, choice, y, position, position, depth)
-        else:
-            with np.errstate(all="ignore"):
-                values = _contributions(chain, choice, y, position, last, depth)
-        block = (chain, choice, depth, position, values)
-        object.__setattr__(y, "_block", block)
-    values = block[4]
-    value = float(values[position - block[3]])
+    kept = y._kept
+    if kept is not None and kept[0] is chain and kept[1] is choice and kept[2] == depth:
+        value = float(kept[3][position - 1])
+    else:
+        value = float(_contributions(chain, choice, y, position, position, depth)[0])
     if not math.isfinite(value):
-        if values.size > 1:
-            _contributions(chain, choice, y, position, position, depth)
         raise InvalidModel(f"variance contribution at position {position} is {value!r}")
     return value
 
@@ -425,10 +387,27 @@ def sigma2_env(
 
     Returns ``(estimate, std_error)`` where the standard error comes from
     batch means over 32 consecutive batches.  Deterministic given the seed.
+
+    The positions 1..horizon are reduced in consecutive blocks of
+    ``_block_size`` positions with floating-point warnings off, and kept on
+    the sampled path, which covers exactly their windows; each is then read
+    through ``c_of_y``, which raises ``InvalidModel`` at the first position
+    whose value is not finite.  Under the transport kernel, a potential
+    above 1 in the horizon raises ``InvalidModel`` from the block that holds
+    it, naming no position.
     """
     if horizon < 100:
         raise ValueError(f"horizon must be >= 100, got {horizon}")
-    path = sample_env_path(chain, past=depth, horizon=horizon + depth, seed=seed)
+    if depth < 1:
+        raise ValueError(f"depth must be >= 1, got {depth}")
+    path = sample_env_path(chain, past=depth, horizon=horizon + depth - 1, seed=seed)
+    size = _block_size(chain.state_dim, depth)
+    with np.errstate(all="ignore"):
+        kept = np.concatenate([
+            _contributions(chain, choice, path, first, min(first + size - 1, horizon), depth)
+            for first in range(1, horizon + 1, size)
+        ])
+    object.__setattr__(path, "_kept", (chain, choice, depth, kept))
     values = np.array(
         [c_of_y(chain, choice, path, p, depth) for p in range(1, horizon + 1)]
     )

@@ -53,6 +53,15 @@ SLOW_MIXING = {
     "eta0": [0.5, 0.5],
 }
 
+# One state: every particle estimate is exact, so every variance is 0.
+ONE_STATE = {
+    "schema": 1,
+    "kind": "homogeneous",
+    "M": [[1.0]],
+    "G": [0.6],
+    "eta0": [1.0],
+}
+
 HMM = {
     "schema": 1,
     "kind": "hmm",
@@ -155,6 +164,19 @@ class TestParseErrors:
     def test_wrong_schema_version_exit_3(self, model_file):
         cfg = model_file({**TWO_STATE, "schema": 2})
         assert main(["oracle", "--config", cfg, "--n", "2"]) == 3
+
+    @pytest.mark.parametrize("version", [True, 1.0, "1", None])
+    def test_schema_version_must_be_the_integer_1(self, model_file, capsys, version):
+        cfg = model_file({**TWO_STATE, "schema": version})
+        assert main(["oracle", "--config", cfg, "--n", "2"]) == 3
+        assert "unsupported schema version" in capsys.readouterr().err
+
+    def test_non_utf8_model_file_exit_3(self, tmp_path, capsys):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(json.dumps({**TWO_STATE, "kind": "homog\u00e9neous"}, ensure_ascii=False)
+                         .encode("latin-1"))
+        assert main(["oracle", "--config", str(path), "--n", "2"]) == 3
+        assert "is not UTF-8" in capsys.readouterr().err
 
     def test_malformed_json_exit_3(self, tmp_path):
         path = tmp_path / "broken.json"
@@ -407,6 +429,80 @@ class TestOtherCommands:
         assert main(
             ["fixed-n-clt", "--config", cfg, "--n", "4", "--N", "100,50", "--reps", "400"]
         ) == 2
+
+
+class TestEdgeSizes:
+    """No steps, one particle and one state: each run exits 0 with an
+    artifact of the usual shape."""
+
+    def test_run_with_no_steps_and_one_particle(self, model_file, capsys):
+        cfg = model_file(TWO_STATE)
+        assert main(["run", "--config", cfg, "--n", "0", "--N", "1", "--seed", "4"]) == 0
+        assert capsys.readouterr().out == (
+            "replicate_id,seed,n,N,kernel,log_gamma_N,log_gamma_bar\n"
+            "0,4,0,1,multinomial,0.0,0.0\n"
+        )
+
+    @pytest.mark.parametrize("kernel", ["multinomial", "transport"])
+    def test_clt_on_one_state_is_degenerate(self, model_file, tmp_path, kernel):
+        cfg = model_file(ONE_STATE)
+        out, rep = tmp_path / "samples.csv", tmp_path / "rep.json"
+        code = main(
+            ["clt", "--config", cfg, "--n", "4", "--N", "8", "--reps", "40", "--seed", "3",
+             "--kernel", kernel, "--out", str(out), "--report", str(rep)]
+        )
+        assert code == 0
+        report = json.loads(rep.read_text())
+        assert set(report) == {
+            "N", "R", "alpha", "ks_D", "ks_p", "mean", "n", "schema", "sigma2",
+            "unbiased_z", "v_n", "var_ratio", "variance", "verdicts", "z_mean",
+        }
+        assert report["verdicts"] == dict.fromkeys(
+            ("ks", "mean", "unbiasedness", "variance"), "degenerate"
+        )
+        assert (report["R"], report["sigma2"], report["v_n"], report["variance"]) == (40, 0, 0, 0)
+        lines = out.read_text().split("\n")
+        assert lines[0] == "replicate_id,seed,log_gamma_bar,gamma_bar"
+        assert len(lines) == 42  # header + 40 rows + trailing newline
+        assert all(line.split(",")[2:] == ["0.0", "1.0"] for line in lines[1:-1])
+
+    def test_oracle_on_one_state(self, model_file, capsys):
+        cfg = model_file(ONE_STATE)
+        assert main(["oracle", "--config", cfg, "--n", "3"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["etas"] == [[1.0]] * 4
+        assert report["potential_means"] == [0.6] * 3
+        assert report["log_gammas"] == pytest.approx([k * math.log(0.6) for k in range(4)])
+        assert (report["h"], report["eta_inf"], report["qbar_limit"]) == ([1.0], [1.0], [1.0])
+        assert (report["zeta"], report["sigma2"], report["v_n_table"]) == (0.6, 0.0, [0.0] * 3)
+        assert report["lambda_hat"] == "inf"
+        assert len(report["beta_profile"]) == len(report["g_profile"]) == 30
+
+    def test_qsd_on_one_state(self, model_file, capsys):
+        cfg = model_file(ONE_STATE)
+        assert main(["qsd", "--config", cfg, "--n", "3", "--reps", "200", "--seed", "2"]) == 0
+        lines = capsys.readouterr().out.strip().split("\n")
+        assert lines[0] == "n,survival_oracle,survival_mc,mc_std_error,yaglom_tv"
+        rows = [line.split(",") for line in lines[1:]]
+        assert [row[0] for row in rows] == ["1", "2", "3"]
+        assert [float(row[1]) for row in rows] == pytest.approx([0.6, 0.36, 0.216])
+        assert all(float(row[4]) == 0.0 for row in rows)  # one state: the Yaglom law is exact
+
+    def test_fixed_n_clt_on_one_state(self, model_file, tmp_path):
+        cfg = model_file(ONE_STATE)
+        rep = tmp_path / "rep.json"
+        code = main(
+            ["fixed-n-clt", "--config", cfg, "--n", "3", "--N", "100,200", "--reps", "5",
+             "--seed", "2", "--report", str(rep)]
+        )
+        assert code == 0
+        report = json.loads(rep.read_text())
+        assert set(report) == {"R", "n", "rows", "schema", "verdicts"}
+        assert [row["N"] for row in report["rows"]] == [100, 200]
+        for row in report["rows"]:
+            assert set(row) == {"N", "ci_high", "ci_low", "rel_error", "target_v_n", "variance"}
+            assert (row["target_v_n"], row["variance"]) == (0.0, 0.0)
+        assert report["verdicts"] == {"variance_at_largest_N": "pass"}
 
 
 def test_no_stray_temp_files(model_file, tmp_path):

@@ -395,7 +395,7 @@ def one_position_c(chain, choice, y, position, depth):
 
 
 def cold_c(chain, choice, y, position, depth):
-    """c_of_y on a fresh copy of the path, which keeps no block yet."""
+    """c_of_y on a fresh copy of the path, which keeps no values."""
     return fk.c_of_y(chain, choice, fk.EnvPath(y.states, y.lo), position, depth)
 
 
@@ -407,9 +407,30 @@ def read_outcome(read, *args):
         return type(exc), str(exc)
 
 
+def sigma2_env_path(monkeypatch, chain, choice, horizon, depth, seed=0, path=None):
+    """Run sigma2_env and return the path it reduced, which then keeps its
+    values; ``path`` stands in for the path it would sample."""
+    sampled = []
+
+    def sample(chain, past, horizon, seed):
+        sampled.append(fk.sample_env_path(chain, past, horizon, seed) if path is None else path)
+        return sampled[-1]
+
+    monkeypatch.setattr(randenv, "sample_env_path", sample)
+    fk.sigma2_env(chain, choice, horizon, depth, seed)
+    return sampled[0]
+
+
+def kept_values(chain, choice, y, depth):
+    kept = y._kept
+    assert kept[0] is chain and kept[1] is choice and kept[2] == depth
+    return kept[3]
+
+
 class TestReadAhead:
-    """c_of_y reduces blocks of positions and keeps one on the path; every
-    read must give the bits and the errors of a read on its own."""
+    """sigma2_env reduces its horizon in blocks and keeps the values on the
+    path it samples; every kept value and every read must give the bits and
+    the errors of a read on its own."""
 
     @pytest.mark.parametrize("budget", [BLOCK_FACTOR_ENTRIES, 2**9])
     @pytest.mark.parametrize("depth", [1, 2, 40])
@@ -418,7 +439,6 @@ class TestReadAhead:
         monkeypatch.setattr(randenv, "BLOCK_FACTOR_ENTRIES", budget)
         rng = np.random.default_rng(10 * d + depth)
         chain = random_chain(rng, 3, d, floor=1e-12)
-        path = fk.sample_env_path(chain, past=depth + 1, horizon=120 + depth, seed=d + depth)
         positions = np.arange(1, 121)
         orders = {
             "ascending": positions,
@@ -426,25 +446,27 @@ class TestReadAhead:
             "random": rng.permutation(positions),
         }
         for choice in fk.KernelChoice:
-            expected = {int(p): one_position_c(chain, choice, path, int(p), depth) for p in positions}
+            y = sigma2_env_path(monkeypatch, chain, choice, 120, depth, seed=d + depth)
+            expected = [one_position_c(chain, choice, y, int(p), depth) for p in positions]
+            np.testing.assert_array_equal(kept_values(chain, choice, y, depth), expected)
             for p in positions[::17]:
-                assert cold_c(chain, choice, path, int(p), depth) == expected[int(p)]
+                assert cold_c(chain, choice, y, int(p), depth) == expected[p - 1]
             for order in orders.values():
-                y = fk.EnvPath(path.states, path.lo)
                 for p in order:
-                    assert fk.c_of_y(chain, choice, y, int(p), depth) == expected[int(p)]
+                    assert fk.c_of_y(chain, choice, y, int(p), depth) == expected[p - 1]
 
-    def test_benchmark_path_matches_one_position_reads(self, env_chain):
-        path = fk.sample_env_path(env_chain, past=40, horizon=1040, seed=4242)
+    def test_benchmark_path_matches_one_position_reads(self, env_chain, monkeypatch):
         for choice in fk.KernelChoice:
-            for p in range(1, 1001):
-                value = fk.c_of_y(env_chain, choice, path, p, 40)
-                assert value == one_position_c(env_chain, choice, path, p, 40)
+            y = sigma2_env_path(monkeypatch, env_chain, choice, 1000, 40, seed=4242)
+            expected = [one_position_c(env_chain, choice, y, p, 40) for p in range(1, 1001)]
+            np.testing.assert_array_equal(kept_values(env_chain, choice, y, 40), expected)
 
-    def test_interleaved_reads_on_one_path(self):
+    def test_interleaved_reads_on_one_path(self, monkeypatch):
+        # The path keeps values for one (chain, kernel, depth); reads with
+        # the others reduce their positions alone.
         rng = np.random.default_rng(8)
         chains = [random_chain(rng, 2, d, floor=1e-6) for d in (2, 3)]
-        path = fk.sample_env_path(chains[0], past=12, horizon=60, seed=3)
+        path = sigma2_env_path(monkeypatch, chains[0], MULTI, 100, 10, seed=3)
         reads = [
             (chain, choice, depth)
             for chain in chains
@@ -459,14 +481,15 @@ class TestReadAhead:
     @pytest.mark.parametrize(
         "states",
         [
-            np.arange(80) % 2,  # alternating
-            (np.isin(np.arange(80), [9, 30, 31, 55])).astype(np.int64),  # sparse
+            np.arange(116) % 2,  # alternating
+            (np.isin(np.arange(116), [9, 30, 31, 55])).astype(np.int64),  # sparse
         ],
         ids=["alternating", "sparse"],
     )
-    def test_potential_above_one_raises_where_a_cold_read_does(self, states):
+    def test_potential_above_one_raises_where_a_cold_read_does(self, monkeypatch, states):
         # Under transport, a read raises when the state at position - 1 has a
-        # potential above 1; no other read may raise with it.
+        # potential above 1; no other read may raise with it.  sigma2_env
+        # raises from the block that holds such a position.
         M0 = fk.StochasticKernel([[0.7, 0.3], [0.4, 0.6]])
         M1 = fk.StochasticKernel([[0.2, 0.8], [0.6, 0.4]])
         chain = fk.EnvironmentChain(
@@ -474,13 +497,16 @@ class TestReadAhead:
             stationary=fk.ProbMeasure([0.5, 0.5]),
             family=((M0, fk.Potential([0.5, 0.9])), (M1, fk.Potential([0.7, 1.5]))),
         )
-        path = fk.EnvPath(states, -10)
-        positions = list(range(1, 60))
+        path = fk.EnvPath(states, -8)  # the window of positions 1..100 at depth 8
+        with pytest.raises(InvalidModel, match="transport kernel needs potential values <= 1"):
+            sigma2_env_path(monkeypatch, chain, fk.KernelChoice.TRANSPORT, 100, 8, path=path)
+        assert path._kept is None
+        y = sigma2_env_path(monkeypatch, chain, MULTI, 100, 8, path=fk.EnvPath(states, -8))
+        positions = list(range(1, 101))
         order = positions + positions[::-1]
         order += list(np.random.default_rng(2).permutation(positions))
         for choice in fk.KernelChoice:
             raised = 0
-            y = fk.EnvPath(path.states, path.lo)
             for p in order:
                 outcome = read_outcome(fk.c_of_y, chain, choice, y, int(p), 8)
                 assert outcome == read_outcome(cold_c, chain, choice, path, int(p), 8)
@@ -493,95 +519,102 @@ class TestReadAhead:
             if choice is fk.KernelChoice.TRANSPORT:
                 assert raised == 3 * sum(path.state(p - 1) == 1 for p in positions)
 
-    def test_non_finite_value_raises_only_at_its_position(self, env_chain):
+    def test_non_finite_value_raises_only_at_its_position(self, env_chain, monkeypatch):
         # State 1's potentials underflow the products, so every position whose
         # window meets a run of ten 1s is 0/0; the others must read as usual.
+        # sigma2_env reduces every block with warnings off and raises
+        # InvalidModel at the first such position, with no RuntimeWarning.
         tiny = fk.Potential([1e-300, 1e-300])
         chain = fk.EnvironmentChain(
             transition=env_chain.transition,
             stationary=env_chain.stationary,
             family=(env_chain.family[0], (env_chain.kernel(1), tiny)),
         )
-        states = np.zeros(120, dtype=np.int64)
+        states = np.zeros(110, dtype=np.int64)
         states[60:70] = 1
-        path = fk.EnvPath(states, -10)
         for choice in fk.KernelChoice:
-            y = fk.EnvPath(path.states, path.lo)
-            outcomes = []
-            for p in range(1, 100):
-                with np.errstate(all="ignore"):
-                    outcome = read_outcome(fk.c_of_y, chain, choice, y, p, 5)
-                    assert outcome == read_outcome(cold_c, chain, choice, path, p, 5)
-                outcomes.append(outcome)
+            y = fk.EnvPath(states, -5)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                with pytest.raises(InvalidModel) as raised:
+                    sigma2_env_path(monkeypatch, chain, choice, 100, 5, path=y)
+                # A kept value reads as an index, so no read warns.
+                outcomes = [read_outcome(fk.c_of_y, chain, choice, y, p, 5) for p in range(1, 101)]
+            with np.errstate(all="ignore"):
+                for p, outcome in zip(range(1, 101), outcomes):
+                    assert outcome == read_outcome(cold_c, chain, choice, y, p, 5)
             failed = [o for o in outcomes if isinstance(o, tuple)]
             assert failed and len(failed) < len(outcomes)
             assert all(o[0] is InvalidModel for o in failed)
-            # The block read from position 1 holds bad positions; reading the
-            # good ones raises no warning (the suite turns warnings to errors).
-            y = fk.EnvPath(path.states, path.lo)
-            for p, outcome in zip(range(1, 100), outcomes):
-                if not isinstance(outcome, tuple):
-                    assert fk.c_of_y(chain, choice, y, p, 5) == outcome
+            assert str(raised.value) == failed[0][1]  # the first position that fails
 
-    def test_window_check_comes_first(self, env_chain):
-        path = fk.sample_env_path(env_chain, past=6, horizon=30, seed=8)
-        fk.c_of_y(env_chain, MULTI, path, 1, depth=6)  # keeps a block from 1
+    def test_window_check_comes_first(self, env_chain, monkeypatch):
+        path = sigma2_env_path(monkeypatch, env_chain, MULTI, 100, 6, seed=8)
+        assert (path.lo, path.hi) == (-6, 105)  # exactly the windows of 1..100
         with pytest.raises(WindowTooShort, match=r"indices \[-6, 6\]"):
             fk.c_of_y(env_chain, MULTI, path.shift(-1), 1, depth=6)
-        with pytest.raises(WindowTooShort, match=r"indices \[24, 36\]"):
-            fk.c_of_y(env_chain, MULTI, path, 31, depth=6)
+        with pytest.raises(WindowTooShort, match=r"indices \[-7, 5\]"):
+            fk.c_of_y(env_chain, MULTI, path, 0, depth=6)
+        with pytest.raises(WindowTooShort, match=r"indices \[94, 106\]"):
+            fk.c_of_y(env_chain, MULTI, path, 101, depth=6)
 
     def test_ascending_reads_reduce_each_block_once(self, env_chain, monkeypatch):
-        calls = []
-        inner = randenv._contributions
+        calls, reads = [], []
+        inner, read = randenv._contributions, randenv.c_of_y
 
         def counted(chain, choice, y, first, last, depth):
             calls.append((first, last))
             return inner(chain, choice, y, first, last, depth)
 
-        monkeypatch.setattr(randenv, "_contributions", counted)
-        path = fk.sample_env_path(env_chain, past=40, horizon=540, seed=6)
-        for p in range(1, 501):
-            fk.c_of_y(env_chain, MULTI, path, p, 40)
-        size = randenv._block_last(env_chain, MULTI, path, 1, 40)
-        assert size == 232
-        assert calls == [(1, size), (size + 1, 2 * size), (2 * size + 1, 500 + 1)]
+        def counted_read(*args):
+            reads.append(args[3])
+            return read(*args)
 
-    def test_path_pickles_to_the_same_bytes_after_use(self, env_chain):
-        path = fk.sample_env_path(env_chain, past=40, horizon=100, seed=12)
-        before = pickle.dumps(path)
-        for p in range(1, 20):
-            fk.c_of_y(env_chain, MULTI, path, p, 40)
-        assert path._block is not None
-        assert pickle.dumps(path) == before
-        copy = pickle.loads(before)
-        assert copy._block is None
+        monkeypatch.setattr(randenv, "_contributions", counted)
+        monkeypatch.setattr(randenv, "c_of_y", counted_read)
+        fk.sigma2_env(env_chain, MULTI, 500, 40, seed=6)
+        size = randenv._block_size(2, 40)
+        assert size == 232
+        assert calls == [(1, size), (size + 1, 2 * size), (2 * size + 1, 500)]
+        assert reads == list(range(1, 501))
+
+    def test_path_pickles_to_the_same_bytes_after_use(self, env_chain, monkeypatch):
+        path = sigma2_env_path(monkeypatch, env_chain, MULTI, 100, 40, seed=12)
+        assert path._kept is not None
+        assert pickle.dumps(path) == pickle.dumps(fk.EnvPath(path.states, path.lo))
+        copy = pickle.loads(pickle.dumps(path))
+        assert copy._kept is None
         assert np.array_equal(copy.states, path.states) and copy.lo == path.lo
         assert fk.c_of_y(env_chain, MULTI, copy, 5, 40) == fk.c_of_y(env_chain, MULTI, path, 5, 40)
 
     @pytest.mark.parametrize(
         "d, depth", [(2, 40), (5, 200), (1, 1), (2, 2), (3, 7), (3, 40), (8, 3), (8, 2000)]
     )
-    def test_block_stays_within_the_budget(self, d, depth):
+    def test_block_stays_within_the_budget(self, monkeypatch, d, depth):
         # The budget bounds what a block holds at once, in float64 entries:
-        # the traced peak of the read that reduces it, for both kernels.
+        # the traced peak of reducing one block, for both kernels.  Every
+        # value sigma2_env keeps has the bits of a read on its own, over one
+        # and a half blocks where that is 100 to 600 positions.
         rng = np.random.default_rng(d)
         chain = random_chain(rng, 2, d, floor=1e-3)
-        path = fk.sample_env_path(chain, past=depth + 1, horizon=depth + 4000, seed=d)
+        size = randenv._block_size(d, depth)
+        horizon = max(100, min(size + size // 2 + 1, 600))
+        path = fk.sample_env_path(chain, past=depth + 1, horizon=depth + size, seed=d)
         for choice in fk.KernelChoice:
-            fk.c_of_y(chain, choice, fk.EnvPath(path.states, path.lo), 1, depth)  # warm
-            y = fk.EnvPath(path.states, path.lo)
+            randenv._contributions(chain, choice, path, 1, size, depth)  # warm
             tracemalloc.start()
             try:
-                fk.c_of_y(chain, choice, y, 1, depth)
+                randenv._contributions(chain, choice, path, 1, size, depth)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            size = y._block[4].size
             if (d, depth) == (8, 2000):
                 assert size == 1  # one position alone is over the budget
             else:
                 assert size > 1 and peak <= 8 * BLOCK_FACTOR_ENTRIES
+            y = sigma2_env_path(monkeypatch, chain, choice, horizon, depth, seed=d)
+            expected = [one_position_c(chain, choice, y, p, depth) for p in range(1, horizon + 1)]
+            np.testing.assert_array_equal(kept_values(chain, choice, y, depth), expected)
 
     @pytest.mark.parametrize("depth", [1, 2, 7])
     @pytest.mark.parametrize("d", [1, 2, 3])
@@ -589,29 +622,26 @@ class TestReadAhead:
         # Blocks of b < D positions reduce 2b windows and longer ones b + D;
         # depth 1 reduces windows of no factors.  The budget cannot give
         # every size (a block just short of D costs more than one of D), so
-        # the block end is set directly.
+        # the block size is set directly.
         rng = np.random.default_rng(7 * d + depth)
         chain = random_chain(rng, 3, d, floor=1e-9)
-        path = fk.sample_env_path(chain, past=depth + 1, horizon=40 + depth, seed=d * depth)
-        positions = [int(p) for p in range(1, 41)]
-        orders = [positions, positions[::-1], [int(p) for p in rng.permutation(positions)]]
-        expected = {
-            choice: {p: one_position_c(chain, choice, path, p, depth) for p in positions}
-            for choice in fk.KernelChoice
-        }
         sizes = {b for b in (1, depth - 1, depth, depth + 1, 2 * depth + 1) if b >= 1}
+        calls = []
+        inner = randenv._contributions
+
+        def counted(chain, choice, y, first, last, depth):
+            calls.append(last - first + 1)
+            return inner(chain, choice, y, first, last, depth)
+
+        monkeypatch.setattr(randenv, "_contributions", counted)
         for b in sorted(sizes):
-
-            def block_last(chain, choice, y, position, depth, b=b):
-                return min(y.hi - depth + 1, position + b - 1)
-
-            monkeypatch.setattr(randenv, "_block_last", block_last)
+            monkeypatch.setattr(randenv, "_block_size", lambda d, depth, b=b: b)
             for choice in fk.KernelChoice:
-                for order in orders:
-                    y = fk.EnvPath(path.states, path.lo)
-                    for p in order:
-                        assert fk.c_of_y(chain, choice, y, p, depth) == expected[choice][p]
-                    assert y._block[4].size == min(b, y.hi - depth + 2 - y._block[3])
+                calls.clear()
+                y = sigma2_env_path(monkeypatch, chain, choice, 100, depth, seed=d * depth)
+                assert calls == [b] * (100 // b) + ([100 % b] if 100 % b else [])
+                expected = [one_position_c(chain, choice, y, p, depth) for p in range(1, 101)]
+                np.testing.assert_array_equal(kept_values(chain, choice, y, depth), expected)
 
 
 class TestReferenceLoops:
