@@ -38,6 +38,7 @@ from .harness import (
     CltReport,
     ExperimentConfig,
     fixed_n_clt_check,
+    fixed_n_verdict,
     lognormal_check,
     replicate_experiment,
     unbiasedness_check,
@@ -390,16 +391,16 @@ def cmd_fixed_n_clt(cfg: argparse.Namespace) -> int:
     rows = fixed_n_clt_check(
         cfg.model, cfg.kernel, cfg.n, cfg.N, cfg.reps, cfg.seed, threads=cfg.threads
     )
-    passed = rows[-1]["rel_error"] <= 0.15
+    verdict = fixed_n_verdict(rows)
     report = {
         "schema": SCHEMA_VERSION,
         "n": cfg.n,
         "R": cfg.reps,
         "rows": rows,
-        "verdicts": {"variance_at_largest_N": "pass" if passed else "fail"},
+        "verdicts": {"variance_at_largest_N": verdict},
     }
     _emit(_dump_json(report), cfg.report)
-    return EXIT_OK if passed else EXIT_STAT_FAIL
+    return EXIT_STAT_FAIL if verdict == "fail" else EXIT_OK
 
 
 def cmd_env_sigma2(cfg: argparse.Namespace) -> int:

@@ -15,6 +15,9 @@ dimensions before handing plain arrays to the private ``_*_raw`` routines.
 Those routines (reweighting, the mean-field kernel rows, the conditional
 covariance) validate nothing and take leading batch axes, so the exact
 solvers and the particle engine call them inside their loops at array cost.
+Two checks are the value layer's one contract, which every value type,
+``as_values`` and the HMM emission matrix go through: ``_finite`` (shape,
+non-empty, finite) and ``_stochastic`` (rows that are probability vectors).
 """
 
 from __future__ import annotations
@@ -61,19 +64,44 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return out
 
 
+def _generator(seed: int) -> np.random.Generator:
+    """The package's one seeded generator: PCG64 on ``seed`` modulo 2**64."""
+    return np.random.Generator(np.random.PCG64(int(seed) & 0xFFFFFFFFFFFFFFFF))
+
+
 ArrayLike = Union[np.ndarray, Sequence[float], "FunctionVector"]
+
+
+def _finite(values, ndim: int, what: str) -> np.ndarray:
+    """``values`` as a float array, not copied: other than ``ndim`` axes or
+    empty raises DimensionMismatch, a NaN or an inf InvalidModel."""
+    arr = np.asarray(values, dtype=float)
+    if arr.ndim != ndim or arr.size == 0:
+        raise DimensionMismatch(f"{what} must be {ndim}-d and non-empty, got shape {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise InvalidModel(f"{what} has non-finite entries")
+    return arr
+
+
+def _stochastic(values, ndim: int, what: str) -> np.ndarray:
+    """``_finite`` values whose rows (last axis) have entries >= -INPUT_ATOL
+    and sums within INPUT_ATOL of 1, else InvalidModel; returned clipped at
+    0, renormalized and read-only."""
+    arr = _finite(values, ndim, what)
+    if np.any(arr < -INPUT_ATOL):
+        raise InvalidModel(f"negative {what} entry {float(arr.min())!r}")
+    deviation = float(np.abs(arr.sum(axis=-1) - 1.0).max())
+    if deviation > INPUT_ATOL:
+        raise InvalidModel(f"{what} row sums deviate from 1 by up to {deviation!r}")
+    arr = np.clip(arr, 0.0, None)
+    return _frozen(arr / arr.sum(axis=-1, keepdims=True))
 
 
 def as_values(f: ArrayLike) -> np.ndarray:
     """Coerce a function on the state space to a 1-d float array."""
     if isinstance(f, FunctionVector):
         return f.values
-    arr = np.asarray(f, dtype=float)
-    if arr.ndim != 1:
-        raise DimensionMismatch(f"expected a 1-d function vector, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise InvalidModel("function vector has non-finite entries")
-    return arr
+    return _finite(f, 1, "function vector")
 
 
 @dataclass(frozen=True)
@@ -83,18 +111,7 @@ class ProbMeasure:
     weights: np.ndarray
 
     def __post_init__(self) -> None:
-        w = np.asarray(self.weights, dtype=float)
-        if w.ndim != 1 or w.size == 0:
-            raise DimensionMismatch("probability vector must be 1-d and non-empty")
-        if not np.all(np.isfinite(w)):
-            raise InvalidModel("probability vector has non-finite entries")
-        if np.any(w < -INPUT_ATOL):
-            raise InvalidModel(f"negative probability entry {float(w.min())!r}")
-        total = float(w.sum())
-        if abs(total - 1.0) > INPUT_ATOL:
-            raise InvalidModel(f"probability vector sums to {total!r}, not 1")
-        w = np.clip(w, 0.0, None)
-        object.__setattr__(self, "weights", _frozen(w / w.sum()))
+        object.__setattr__(self, "weights", _stochastic(self.weights, 1, "probability vector"))
 
     @property
     def d(self) -> int:
@@ -114,9 +131,7 @@ class ProbMeasure:
 
     @classmethod
     def point(cls, d: int, x: int) -> "ProbMeasure":
-        w = np.zeros(d)
-        w[x] = 1.0
-        return cls(w)
+        return cls(FunctionVector.indicator(d, x).values)
 
     def mean(self, f: ArrayLike) -> float:
         """Integral of ``f`` against this measure."""
@@ -133,12 +148,7 @@ class FunctionVector:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        v = np.asarray(self.values, dtype=float)
-        if v.ndim != 1 or v.size == 0:
-            raise DimensionMismatch("function vector must be 1-d and non-empty")
-        if not np.all(np.isfinite(v)):
-            raise InvalidModel("function vector has non-finite entries")
-        object.__setattr__(self, "values", _frozen(v))
+        object.__setattr__(self, "values", _frozen(_finite(self.values, 1, "function vector")))
 
     @property
     def d(self) -> int:
@@ -163,18 +173,10 @@ class StochasticKernel:
 
     def __post_init__(self) -> None:
         r = np.asarray(self.rows, dtype=float)
-        if r.ndim != 2 or r.shape[0] != r.shape[1] or r.shape[0] == 0:
+        # Squareness is a shape check, so it comes before the entries are read.
+        if r.ndim == 2 and r.shape[0] != r.shape[1]:
             raise DimensionMismatch(f"kernel must be a square matrix, got shape {r.shape}")
-        if not np.all(np.isfinite(r)):
-            raise InvalidModel("kernel has non-finite entries")
-        if np.any(r < -INPUT_ATOL):
-            raise InvalidModel(f"negative kernel entry {float(r.min())!r}")
-        sums = r.sum(axis=1)
-        if np.any(np.abs(sums - 1.0) > INPUT_ATOL):
-            deviation = float(np.abs(sums - 1.0).max())
-            raise InvalidModel(f"kernel row sums deviate from 1 by up to {deviation!r}")
-        r = np.clip(r, 0.0, None)
-        object.__setattr__(self, "rows", _frozen(r / r.sum(axis=1, keepdims=True)))
+        object.__setattr__(self, "rows", _stochastic(r, 2, "kernel"))
 
     @property
     def d(self) -> int:
@@ -192,11 +194,7 @@ class Potential:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        v = np.asarray(self.values, dtype=float)
-        if v.ndim != 1 or v.size == 0:
-            raise DimensionMismatch("potential must be 1-d and non-empty")
-        if not np.all(np.isfinite(v)):
-            raise InvalidModel("potential has non-finite entries")
+        v = _finite(self.values, 1, "potential")
         if v.min() <= 0.0:
             raise InvalidModel(
                 f"potential must be strictly positive, min entry is {float(v.min())!r}"
@@ -224,13 +222,6 @@ class KernelChoice(enum.Enum):
 
     MULTINOMIAL = "multinomial"
     TRANSPORT = "transport"
-
-    @classmethod
-    def parse(cls, name: str) -> "KernelChoice":
-        try:
-            return cls(name.lower())
-        except ValueError:
-            raise InvalidModel(f"unknown kernel choice {name!r}") from None
 
 
 # Most sampling tables one ``FKStep`` keeps.  There are C(N+d-1, d-1) count

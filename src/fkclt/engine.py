@@ -39,6 +39,7 @@ from .core import (
     KernelChoice,
     ProbMeasure,
     _categorical,
+    _generator,
     _phi_raw,
     as_values,
 )
@@ -73,7 +74,7 @@ class RngStream:
     def __init__(self, seed: int):
         self.seed = int(seed) & _MASK64
         self.position = 0
-        self._gen = np.random.Generator(np.random.PCG64(self.seed))
+        self._gen = _generator(self.seed)
 
     def uniforms(self, k: int) -> np.ndarray:
         self.position += k

@@ -32,6 +32,7 @@ MEAN_Z_MAX = 3.0
 VAR_RATIO_WINDOW = (0.85, 1.15)
 KS_P_MIN = 0.01
 UNBIASED_Z_MAX = 3.0
+FIXED_N_REL_ERROR_MAX = 0.15
 KS_MIN_SAMPLES = 35
 _KOLMOGOROV_TERMS = 100
 # Constant-potential models have v_n = 0 algebraically but the covariance
@@ -254,7 +255,8 @@ def fixed_n_clt_check(
     per particle count, against the oracle value v_n.
 
     Returns one row per N with the variance, a 95% normal-approximation
-    confidence interval, and the relative error against v_n.
+    confidence interval, and the relative error against v_n (0.0 for a
+    degenerate v_n, as in ``fixed_n_verdict``).
     """
     for N in N_list:
         if N < 100:
@@ -278,7 +280,16 @@ def fixed_n_clt_check(
                 "ci_low": variance - half,
                 "ci_high": variance + half,
                 "target_v_n": target,
-                "rel_error": abs(variance - target) / target if target > 0.0 else 0.0,
+                "rel_error": abs(variance - target) / target if target > DEGENERATE_V_TOL else 0.0,
             }
         )
     return rows
+
+
+def fixed_n_verdict(rows: Sequence[dict]) -> str:
+    """Verdict at the last N of a ``fixed_n_clt_check`` sweep: "degenerate" at
+    v_n <= ``DEGENERATE_V_TOL``, as in ``lognormal_check``, else pass/fail."""
+    last = rows[-1]
+    if last["target_v_n"] <= DEGENERATE_V_TOL:
+        return "degenerate"
+    return "pass" if last["rel_error"] <= FIXED_N_REL_ERROR_MAX else "fail"

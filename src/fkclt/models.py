@@ -28,6 +28,8 @@ from .core import (
     StochasticKernel,
     _categorical,
     _chain_path,
+    _generator,
+    _stochastic,
     homogeneous_model,
     explicit_model,
     total_variation,
@@ -87,15 +89,15 @@ def survival_mc_table(model: AbsorptionModel, n: int, trials: int, seed: int) ->
     survivors[0] = trials
     for first in range(0, trials, SURVIVAL_CHUNK):
         size = min(SURVIVAL_CHUNK, trials - first)
-        bits = np.random.PCG64(int(seed) & 0xFFFFFFFFFFFFFFFF).advance(first)
-        gen = np.random.Generator(bits)
+        gen = _generator(seed)
+        gen.bit_generator.advance(first)
         states = _categorical(cum0, gen.random(size))
         live = np.arange(size)
         for horizon in range(1, n + 1):
-            bits.advance(trials - size)
+            gen.bit_generator.advance(trials - size)
             kept = gen.random(size)[live] < model.G.values[states]
             live, states = live[kept], states[kept]
-            bits.advance(trials - size)
+            gen.bit_generator.advance(trials - size)
             states = _categorical(cum_rows, gen.random(size)[live], states)
             survivors[horizon] += live.size
             if not live.size:
@@ -129,20 +131,13 @@ class HmmParams:
     initial: ProbMeasure
 
     def __post_init__(self) -> None:
-        e = np.asarray(self.emission, dtype=float)
-        if e.ndim != 2 or e.shape[0] != self.transition.d:
+        e = _stochastic(self.emission, 2, "emission matrix")
+        if e.shape[0] != self.transition.d:
             raise InvalidModel(
                 f"emission matrix must have one row per hidden state, got shape {e.shape}"
             )
-        if not np.all(np.isfinite(e)) or np.any(e < 0.0):
-            raise InvalidModel("emission probabilities must be finite and non-negative")
-        sums = e.sum(axis=1)
-        if np.any(np.abs(sums - 1.0) > 1e-9):
-            raise InvalidModel("emission rows must sum to 1")
         if self.initial.d != self.transition.d:
             raise InvalidModel("initial law does not match the hidden state count")
-        e = e / sums[:, None]
-        e.flags.writeable = False
         object.__setattr__(self, "emission", e)
 
     @property
@@ -159,8 +154,7 @@ def hmm_generate(params: HmmParams, length: int, seed: int) -> tuple:
     Uniforms go to the initial state, then alternate emission and move."""
     if length < 0:
         raise ValueError(f"length must be >= 0, got {length}")
-    gen = np.random.Generator(np.random.PCG64(int(seed) & 0xFFFFFFFFFFFFFFFF))
-    u = gen.random(2 * length + 1)
+    u = _generator(seed).random(2 * length + 1)
     hidden = _chain_path(
         np.cumsum(params.initial.weights),
         np.cumsum(params.transition.rows, axis=1),

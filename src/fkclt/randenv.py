@@ -62,6 +62,7 @@ from .core import (
     _chain_path,
     _cov_raw,
     _frozen,
+    _generator,
 )
 from .oracle import _limit_function, _ordered_products
 
@@ -196,11 +197,10 @@ def sample_env_path(chain: EnvironmentChain, past: int, horizon: int, seed: int)
     """Sample a path over [-past, horizon]: stationary start, then forward moves."""
     if past < 0 or horizon < 0:
         raise ValueError("past and horizon must be >= 0")
-    gen = np.random.Generator(np.random.PCG64(int(seed) & 0xFFFFFFFFFFFFFFFF))
     states = _chain_path(
         np.cumsum(chain.stationary.weights),
         np.cumsum(chain.transition.rows, axis=1),
-        gen.random(past + horizon + 1),
+        _generator(seed).random(past + horizon + 1),
     )
     return EnvPath(states, -past)
 

@@ -502,7 +502,24 @@ class TestEdgeSizes:
         for row in report["rows"]:
             assert set(row) == {"N", "ci_high", "ci_low", "rel_error", "target_v_n", "variance"}
             assert (row["target_v_n"], row["variance"]) == (0.0, 0.0)
-        assert report["verdicts"] == {"variance_at_largest_N": "pass"}
+        assert report["verdicts"] == {"variance_at_largest_N": "degenerate"}
+
+    @pytest.mark.parametrize("kernel", ["multinomial", "transport"])
+    @pytest.mark.parametrize(
+        "model", [ONE_STATE, {**CONSTANT_G, "G": [0.3, 0.3]}], ids=["one-state", "constant-G"]
+    )
+    def test_fixed_n_clt_without_variance_is_degenerate(self, model_file, tmp_path, model, kernel):
+        # v_n is 0, or cancellation noise of order 1e-16, so there is no
+        # relative error to judge.
+        rep = tmp_path / "rep.json"
+        code = main(
+            ["fixed-n-clt", "--config", model_file(model), "--n", "5", "--N", "100",
+             "--reps", "5", "--seed", "2", "--kernel", kernel, "--report", str(rep)]
+        )
+        assert code == 0
+        report = json.loads(rep.read_text())
+        assert report["verdicts"] == {"variance_at_largest_N": "degenerate"}
+        assert report["rows"][0]["rel_error"] == 0.0
 
 
 def test_no_stray_temp_files(model_file, tmp_path):

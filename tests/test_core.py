@@ -61,12 +61,6 @@ class TestConstruction:
             with pytest.raises(ValueError):
                 arr[0] = 0.0
 
-    def test_kernel_choice_parse(self):
-        assert fk.KernelChoice.parse("Multinomial") is fk.KernelChoice.MULTINOMIAL
-        assert fk.KernelChoice.parse("transport") is fk.KernelChoice.TRANSPORT
-        with pytest.raises(InvalidModel):
-            fk.KernelChoice.parse("stratified")
-
 
 class TestModelConstruction:
     def test_explicit_model_checks_every_step_when_built(self):

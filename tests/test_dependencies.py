@@ -1,15 +1,19 @@
 """The package imports only the standard library, numpy and itself; scipy
-and the other test tools stay out of ``src/fkclt``."""
+and the other test tools stay out of ``src/fkclt``.  The suite imports only
+what ``pyproject.toml`` declares, so ``pip install .[test]`` can collect it."""
 
 from __future__ import annotations
 
 import ast
 import pathlib
+import re
 import sys
 
 import pytest
 
-PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "fkclt"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "fkclt"
+TESTS = ROOT / "tests"
 ALLOWED = set(sys.stdlib_module_names) | {"numpy", "fkclt"}
 
 
@@ -33,3 +37,18 @@ def test_the_guard_sees_a_third_party_import(tmp_path):
     module = tmp_path / "m.py"
     module.write_text("import os\nfrom .core import x\n\ndef f():\n    from scipy import stats\n")
     assert imported_roots(module) - ALLOWED == {"scipy"}
+
+
+def declared_requirements() -> set:
+    """Distribution names in the project's dependencies and its test extra."""
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))["project"]
+    requirements = project["dependencies"] + project["optional-dependencies"]["test"]
+    return {re.match(r"[A-Za-z0-9_.-]+", r).group(0).lower().replace("-", "_") for r in requirements}
+
+
+def test_suite_imports_are_declared():
+    suite = sorted(TESTS.glob("*.py"))
+    exempt = set(sys.stdlib_module_names) | {"fkclt"} | {path.stem for path in suite}
+    used = set().union(*map(imported_roots, suite)) - exempt
+    assert used <= declared_requirements(), used - declared_requirements()

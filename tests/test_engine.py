@@ -5,11 +5,18 @@ import pickle
 
 import numpy as np
 import pytest
+import scipy.stats
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fkclt as fk
-from fkclt.core import SAMPLING_TABLES_MAX, InvalidModel, _categorical
+from fkclt.core import (
+    SAMPLING_TABLES_MAX,
+    InvalidModel,
+    _categorical,
+    _kernel_rows_raw,
+    _phi_raw,
+)
 from fkclt.engine import derive_seed
 
 from conftest import random_chain, random_explicit_model, random_model
@@ -146,6 +153,74 @@ class TestStep:
             bound = step0.G.values[x] * step0.M.rows[x, x]
             se = math.sqrt(rate * (1 - rate) / totals[x])
             assert rate >= bound - 3 * se
+
+
+def binomial_pmf(n: int, p: float) -> np.ndarray:
+    return np.array([math.comb(n, k) * p**k * (1.0 - p) ** (n - k) for k in range(n + 1)])
+
+
+def pooled_chi_square(observed: np.ndarray, expected: np.ndarray) -> tuple:
+    """(chi-square, degrees of freedom) after merging adjacent bins, from
+    the left, until each bin expects at least 5; a short last bin joins the
+    one before it."""
+    bins, o, e = [], 0.0, 0.0
+    for ok, ek in zip(observed, expected):
+        o, e = o + ok, e + ek
+        if e >= 5.0:
+            bins.append([o, e])
+            o, e = 0.0, 0.0
+    bins[-1][0] += o
+    bins[-1][1] += e
+    O, E = np.array(bins).T
+    return float(((O - E) ** 2 / E).sum()), len(bins) - 1
+
+
+class TestNextCountLaw:
+    """The engine's next count of state 1, given the state counts m, against
+    its exact law.  Both kernels have the same mean law Phi(m/N), so pooled
+    particle counts cannot tell them apart; the law of the count can:
+    Binomial(N, Phi(m/N)(1)) for the multinomial kernel, and for the
+    transport kernel the sum of independent Binomial(m_0, K(0, 1)) and
+    Binomial(m_1, K(1, 1)) over the kernel rows K."""
+
+    M = fk.StochasticKernel([[0.9, 0.1], [0.2, 0.8]])
+    G = fk.Potential([0.95, 0.99])
+    m = (32, 32)
+    N = sum(m)
+    reps = 4000
+
+    def exact_pmf(self, choice: fk.KernelChoice) -> np.ndarray:
+        mu = np.array(self.m) / self.N
+        if choice is MULTI:
+            return binomial_pmf(self.N, _phi_raw(mu, self.G.values, self.M.rows)[1])
+        K = _kernel_rows_raw(TRANS, mu, self.G.values, self.M.rows)
+        return np.convolve(binomial_pmf(self.m[0], K[0, 1]), binomial_pmf(self.m[1], K[1, 1]))
+
+    def next_counts(self, choice: fk.KernelChoice) -> np.ndarray:
+        model = fk.homogeneous_model(self.M, self.G, fk.ProbMeasure.uniform(2))
+        states = np.repeat([0, 1], self.m)
+        ones = np.empty(self.reps, dtype=np.int64)
+        for r in range(self.reps):
+            system = fk.ParticleSystem(states, 0, fk.RngStream(derive_seed(71, r)), 2)
+            ones[r] = fk.step(system, model, choice).states.sum()
+        return np.bincount(ones, minlength=self.N + 1)
+
+    @pytest.mark.parametrize("choice, other", [(MULTI, TRANS), (TRANS, MULTI)])
+    def test_count_follows_its_kernel_law(self, choice, other):
+        counts = self.next_counts(choice)
+        own = pooled_chi_square(counts, self.reps * self.exact_pmf(choice))
+        assert scipy.stats.chi2.sf(*own) > 1e-3, own
+        # The same counts reject the other kernel's law, so the test sees
+        # which kernel moved the particles.
+        wrong = pooled_chi_square(counts, self.reps * self.exact_pmf(other))
+        assert scipy.stats.chi2.sf(*wrong) < 1e-6, wrong
+
+    def test_exact_laws_have_one_mean_and_two_variances(self):
+        k = np.arange(self.N + 1)
+        multi, trans = self.exact_pmf(MULTI), self.exact_pmf(TRANS)
+        assert multi.sum() == pytest.approx(1.0) and trans.sum() == pytest.approx(1.0)
+        assert k @ multi == pytest.approx(k @ trans, rel=1e-12)
+        assert k**2 @ multi > k**2 @ trans
 
 
 def reference_run(model, N, n, choice, seed):

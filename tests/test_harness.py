@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,9 +10,13 @@ import scipy.stats
 
 import fkclt as fk
 from fkclt.harness import (
+    DEGENERATE_V_TOL,
+    FIXED_N_REL_ERROR_MAX,
+    KS_MIN_SAMPLES,
     CltReport,
     ExperimentConfig,
     fixed_n_clt_check,
+    fixed_n_verdict,
     kolmogorov_p,
     ks_statistic,
     lognormal_check,
@@ -21,6 +26,21 @@ from fkclt.harness import (
 )
 
 MULTI = fk.KernelChoice.MULTINOMIAL
+KERNELS = list(fk.KernelChoice)
+
+
+def one_state_model() -> fk.FKModel:
+    return fk.homogeneous_model(
+        fk.StochasticKernel([[1.0]]), fk.Potential([0.6]), fk.ProbMeasure([1.0])
+    )
+
+
+def constant_potential_model() -> fk.FKModel:
+    return fk.homogeneous_model(
+        fk.StochasticKernel([[0.7, 0.3], [0.4, 0.6]]),
+        fk.Potential([0.3, 0.3]),
+        fk.ProbMeasure([0.5, 0.5]),
+    )
 
 
 class TestKsStatistic:
@@ -219,3 +239,43 @@ class TestFixedN:
         with pytest.raises(ValueError, match="got 50"):
             fixed_n_clt_check(two_state, MULTI, 3, [100, 50], 100, seed=1)
         assert calls == []
+
+
+class TestHarnessEdges:
+    """Edges of the verification layer's input range: one state, one
+    particle, one step, equal samples, and a target v_n that is zero or
+    cancellation noise."""
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("choice", KERNELS)
+    def test_one_state_one_particle_one_step(self, choice, threads):
+        config = ExperimentConfig(
+            model=one_state_model(), choice=choice, n=1, N=1, replicates=2, master_seed=4
+        )
+        records = replicate_experiment(config, threads=threads)
+        assert [r.log_gamma_bar for r in records] == [0.0, 0.0]
+
+    def test_equal_samples_fail_mean_and_variance_without_warnings(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = lognormal_check(np.zeros(KS_MIN_SAMPLES), 10 * DEGENERATE_V_TOL + 1.0, 10)
+        assert not report.degenerate
+        assert report.verdicts["mean"] == "fail"
+        assert report.verdicts["variance"] == "fail"
+
+    @pytest.mark.parametrize("model", [one_state_model, constant_potential_model])
+    @pytest.mark.parametrize("choice", KERNELS)
+    def test_fixed_n_without_variance_is_degenerate(self, model, choice):
+        rows = fixed_n_clt_check(model(), choice, 5, [100], 5, seed=2)
+        assert rows[0]["target_v_n"] <= DEGENERATE_V_TOL
+        assert rows[0]["rel_error"] == 0.0
+        assert fixed_n_verdict(rows) == "degenerate"
+
+    def test_fixed_n_verdict_reads_the_last_row(self):
+        def rows(target, rel_error):
+            return [{"target_v_n": 1.0, "rel_error": 1.0}, {"target_v_n": target, "rel_error": rel_error}]
+
+        assert fixed_n_verdict(rows(1.0, FIXED_N_REL_ERROR_MAX)) == "pass"
+        assert fixed_n_verdict(rows(1.0, np.nextafter(FIXED_N_REL_ERROR_MAX, 1.0))) == "fail"
+        assert fixed_n_verdict(rows(DEGENERATE_V_TOL, 1.0)) == "degenerate"
+        assert fixed_n_verdict(rows(2 * DEGENERATE_V_TOL, 1.0)) == "fail"
