@@ -252,23 +252,27 @@ class FKStep:
     def __reduce__(self):
         return FKStep, (self.G, self.M)
 
-    def sampling_table(self, choice: KernelChoice, counts: np.ndarray) -> np.ndarray:
+    def sampling_table(self, choice: KernelChoice, tails: tuple) -> np.ndarray:
         """The CDF table ``_categorical`` draws a generation from, given the
-        generation's state counts (d,) int64: the CDF of ``phi`` (d,) for the
-        multinomial kernel, the CDFs of the d transport rows (d, d) for the
-        transport kernel.  The empirical measure is ``counts / N`` with
-        ``N = counts.sum()``, so the table is a function of ``(choice,
-        counts)`` and is kept under that key, up to ``SAMPLING_TABLES_MAX``
-        tables; a kept table is the array a rebuild would give, bit for bit.
-        Both kernels' tables come from the rows of ``_kernel_rows_raw``: the
-        multinomial rows all equal ``phi``, so its table is row 0's CDF.  A
-        build that raises (a transport potential above 1, or a table that is
-        not finite, as when every reweighted count underflows to 0) keeps
-        nothing, so it raises again on every use."""
-        key = (choice, counts.tobytes())
+        generation's tail counts: ``tails[x]`` is the number of particles in
+        state x or above, a tuple of d Python ints whose first entry is N
+        (what ``_categorical`` returns with ``tails=True``).  The table is
+        the CDF of ``phi`` (d,) for the multinomial kernel, the CDFs of the d
+        transport rows (d, d) for the transport kernel.  The empirical
+        measure is ``counts / N``, where ``counts[x] = tails[x] - tails[x+1]``,
+        so the table is a function of ``(choice, tails)`` and is kept under
+        that key, up to ``SAMPLING_TABLES_MAX`` tables; a kept table is the
+        array a rebuild would give, bit for bit.  Both kernels' tables come
+        from the rows of ``_kernel_rows_raw``: the multinomial rows all equal
+        ``phi``, so its table is row 0's CDF.  A build that raises (a
+        transport potential above 1, or a table that is not finite, as when
+        every reweighted count underflows to 0) keeps nothing, so it raises
+        again on every use."""
+        key = (choice, tails)
         table = self._tables.get(key)
         if table is None:
-            rows = _kernel_rows_raw(choice, counts / counts.sum(), self.G.values, self.M.rows)
+            counts = _counts(tails)
+            rows = _kernel_rows_raw(choice, counts / tails[0], self.G.values, self.M.rows)
             table = rows[0].cumsum() if choice is KernelChoice.MULTINOMIAL else rows.cumsum(axis=1)
             if not np.isfinite(table).all():
                 raise InvalidModel(
@@ -445,18 +449,40 @@ def _phi_raw(mu_w: np.ndarray, g_v: np.ndarray, m_r: np.ndarray) -> np.ndarray:
     return (w[..., None, :] @ m_r)[..., 0, :]
 
 
+def _counts(tails: tuple) -> np.ndarray:
+    """The state counts (d,) int64 of the tail counts ``tails``, where
+    ``tails[x]`` is the number in state x or above."""
+    return np.subtract(tails, tails[1:] + (0,))
+
+
 def _categorical(
-    cumulative: np.ndarray, u: np.ndarray, rows: Optional[np.ndarray] = None
-) -> np.ndarray:
+    cumulative: np.ndarray,
+    u: np.ndarray,
+    rows: Optional[np.ndarray] = None,
+    tails: bool = False,
+):
     """Inverse-CDF draws min{x : F(x) >= u}: each draw counts the first d-1
     cumulative values below its uniform, as one (d-1, k) comparison at cost
-    O(k(d-1)).  The last cumulative is never compared, so a total that rounds
-    below 1 still yields at most d-1.  ``cumulative`` is one nondecreasing
-    CDF (d,) shared by all draws, or a table (m, d) whose row ``rows[i]``
-    serves draw ``i``."""
+    O(k(d-1)); the int64 states are the comparison rows added up.  The last
+    cumulative is never compared, so a total that rounds below 1 still
+    yields at most d-1.  ``cumulative`` is one nondecreasing CDF (d,) shared
+    by all draws, or a table (m, d) whose row ``rows[i]`` serves draw ``i``.
+
+    With ``tails``, returns ``(states, tail_counts)``: ``tail_counts[x]`` is
+    the number of draws in state x or above, a tuple of d Python ints read
+    off the same comparison (``tail_counts[0]`` is the number of draws, and
+    row x-1 of the comparison holds the draws above threshold F(x-1))."""
     inner = cumulative[..., :-1].T
     thresholds = inner[:, None] if rows is None else inner.take(rows, axis=1)
-    return (thresholds < u).sum(axis=0)
+    compared = thresholds < u
+    states = np.zeros(u.size, dtype=np.int64)
+    counted = [u.size]
+    # Rows by index: iterating over a 2-d array costs more per row.
+    for x in range(len(compared)):
+        above = compared[x]
+        states += above
+        counted.append(int(np.count_nonzero(above)))
+    return (states, tuple(counted)) if tails else states
 
 
 def _chain_path(cum0: np.ndarray, cum_rows: np.ndarray, u: np.ndarray) -> np.ndarray:

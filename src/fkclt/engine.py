@@ -3,8 +3,7 @@
 Each particle moves independently, conditionally on the previous
 generation, by a draw from its own kernel row evaluated at the current
 empirical measure.  Categorical draws go through ``core._categorical``
-with one uniform per draw; the state counts are recounted at every step.
-A run returns only what its callers read
+with one uniform per draw.  A run returns only what its callers read
 (``RunRecord``): the seed, the replicate index, and the log
 normalizing-constant estimate, raw and normalized by the exact value.
 
@@ -14,8 +13,12 @@ model share ``d``.  The successor ``step`` builds is not checked again,
 since ``_categorical`` draws int64 states in [0, d-1].
 
 The kernel rows depend on the particles only through the state counts m,
-since the empirical measure is m/N.  So ``step`` asks its ``FKStep`` for
-the generation's CDF table by (kernel, m) (``FKStep.sampling_table``),
+since the empirical measure is m/N.  A system carries its counts as tail
+counts (``ParticleSystem.tails``): the constructor counts its states once,
+and each successor takes them from its own draw, since the comparison that
+``_categorical`` draws by also counts the draws above each CDF value.  So
+no step recounts the particles.  ``step`` asks its ``FKStep`` for the
+generation's CDF table by (kernel, tail counts) (``FKStep.sampling_table``),
 which builds a table from ``core._kernel_rows_raw``, the one row builder
 that the exact layer uses too, and keeps it, up to
 ``core.SAMPLING_TABLES_MAX`` per step.  That memo is the only per-step
@@ -26,7 +29,8 @@ mean is still summed over the particle array, in particle order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Optional
 
 import numpy as np
@@ -39,6 +43,7 @@ from .core import (
     KernelChoice,
     ProbMeasure,
     _categorical,
+    _counts,
     _generator,
     _phi_raw,
     as_values,
@@ -83,12 +88,18 @@ class RngStream:
 
 @dataclass
 class ParticleSystem:
-    """N particle locations plus the step counter and the owning stream."""
+    """N particle locations plus the step counter and the owning stream.
+
+    ``tails`` carries the state counts as tail counts: ``tails[x]`` is the
+    number of particles in state x or above, a tuple of d Python ints with
+    ``tails[0] == N``.  The constructor counts the states once; a successor
+    generation gets them from its own draw."""
 
     states: np.ndarray
     step: int
     stream: RngStream
     d: int
+    tails: tuple = field(init=False)
 
     def __post_init__(self) -> None:
         states = np.asarray(self.states, dtype=np.int64)
@@ -98,22 +109,29 @@ class ParticleSystem:
             raise InvalidModel("particle state out of range")
         states.flags.writeable = False
         self.states = states
+        counts = np.bincount(states, minlength=self.d).tolist()
+        self.tails = tuple(accumulate(reversed(counts)))[::-1]
 
     @classmethod
     def _checked(
-        cls, states: np.ndarray, step: int, stream: RngStream, d: int
+        cls, states: np.ndarray, tails: tuple, step: int, stream: RngStream, d: int
     ) -> "ParticleSystem":
-        """Wrap the states of a successor generation without checking them
-        again: ``_categorical`` draws int64 states in [0, d-1] by
-        construction."""
+        """Wrap the states and tail counts of a successor generation without
+        checking them again: ``_categorical`` draws int64 states in [0, d-1]
+        by construction and counts them from the same comparison."""
         out = object.__new__(cls)
         states.flags.writeable = False
-        out.states, out.step, out.stream, out.d = states, step, stream, d
+        out.states, out.tails, out.step, out.stream, out.d = states, tails, step, stream, d
         return out
 
     @property
     def N(self) -> int:
         return self.states.size
+
+    @property
+    def counts(self) -> np.ndarray:
+        """The number of particles in each state, (d,) int64."""
+        return _counts(self.tails)
 
 
 @dataclass(frozen=True)
@@ -153,11 +171,10 @@ def step(system: ParticleSystem, model: FKModel, choice: KernelChoice) -> Partic
     if system.d != model.d:
         raise DimensionMismatch("system and model dimensions differ")
     states = system.states
-    counts = np.bincount(states, minlength=system.d)
-    cumulative = model.step(system.step).sampling_table(choice, counts)
+    cumulative = model.step(system.step).sampling_table(choice, system.tails)
     rows = None if choice is KernelChoice.MULTINOMIAL else states
-    drawn = _categorical(cumulative, system.stream.uniforms(states.size), rows)
-    return ParticleSystem._checked(drawn, system.step + 1, system.stream, system.d)
+    drawn, tails = _categorical(cumulative, system.stream.uniforms(states.size), rows, tails=True)
+    return ParticleSystem._checked(drawn, tails, system.step + 1, system.stream, system.d)
 
 
 def run(
@@ -182,7 +199,7 @@ def run(
     log_gamma = 0.0
     for p in range(n):
         # The sum and divide that np.mean does, without its wrapper.
-        mean_p = float(model.step(p).G.values[system.states].sum() / N)
+        mean_p = float(np.add.reduce(model.step(p).G.values[system.states]) / N)
         if mean_p <= 0.0:
             raise InvalidModel(
                 f"empirical potential mean vanished at step {p}; "
@@ -212,7 +229,7 @@ def local_error_field(
     if values.size != before.d:
         raise DimensionMismatch("function and system dimensions differ")
     fkstep = model.step(before.step)
-    mu_w = np.bincount(before.states, minlength=before.d) / before.N
+    mu_w = before.counts / before.N
     target = float(_phi_raw(mu_w, fkstep.G.values, fkstep.M.rows) @ values)
     observed = float(np.mean(values[after.states]))
     return math.sqrt(before.N) * (observed - target)

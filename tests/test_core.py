@@ -410,6 +410,25 @@ class TestCategorical:
             assert _categorical(table, u, rows).shape == (0,)
             self._check_against_references(table, u, rows)
 
+    def test_tail_counts_count_the_draws(self):
+        # Zero-probability states and uniforms on the steps, as above: the
+        # comparison rows nest only because each CDF is nondecreasing.
+        gen = np.random.default_rng(1618)
+        weights = np.array([[0.0, 0.25, 0.0, 0.5, 0.25], [0.3, 0.3, 0.3, 0.1, 0.0]])
+        cases = [(np.cumsum(weights, axis=1), np.concatenate([[0.0, 0.25, 0.3, 0.75, 1.0], gen.random(200)]))]
+        for d in (1, 2, 5):
+            cases.append((np.cumsum(gen.dirichlet(np.ones(d), size=3), axis=1), gen.random(300)))
+            cases.append((np.cumsum(np.full((3, d), 1.0 / d), axis=1), np.empty(0)))
+        for table, u in cases:
+            d = table.shape[1]
+            rows = gen.integers(0, table.shape[0], size=u.size)
+            for args in ((table[0], u), (table, u, rows)):
+                states, tails = _categorical(*args, tails=True)
+                assert np.array_equal(states, _categorical(*args))
+                counts = np.bincount(states, minlength=d)
+                assert tails == tuple(np.cumsum(counts[::-1])[::-1].tolist())
+                assert all(type(t) is int for t in tails)
+
 
 def ref_chain_path(cum0, cum_rows, u):
     """One draw per step: the first from cum0, each later one from the CDF

@@ -223,6 +223,90 @@ class TestNextCountLaw:
         assert k**2 @ multi > k**2 @ trans
 
 
+
+def next_count_pmf(fkstep: fk.FKStep, choice: fk.KernelChoice, N: int, m: int) -> np.ndarray:
+    """Law of the next count of state 1 on two states, given m particles in
+    state 1, built by hand from G and M: Binomial(N, Phi(1)) for the
+    multinomial kernel; for the transport kernel the sum of independent
+    Binomial(N - m, K(0, 1)) and Binomial(m, K(1, 1)), where
+    K(x, 1) = G(x) M(x, 1) + (1 - G(x)) Phi(1)."""
+    g, M = fkstep.G.values, fkstep.M.rows
+    w = np.array([(N - m) * g[0], m * g[1]])
+    phi1 = (w[0] * M[0, 1] + w[1] * M[1, 1]) / w.sum()
+    if choice is MULTI:
+        return binomial_pmf(N, phi1)
+    k = g * M[:, 1] + (1.0 - g) * phi1
+    return np.convolve(binomial_pmf(N - m, k[0]), binomial_pmf(m, k[1]))
+
+
+def exact_log_gamma_law(model: fk.FKModel, choice: fk.KernelChoice, N: int, n: int) -> tuple:
+    """Exact law of log gamma^N_n on two states, (support, pmf) with the
+    support sorted: every path (m_0, ..., m_{n-1}) of the count of state 1
+    is listed with its probability, and gives log gamma^N_n =
+    sum_p log(((N - m_p) G_p(0) + m_p G_p(1)) / N).  Paths whose values agree
+    to 1e-12 share one support point."""
+    paths = {(m,): q for m, q in enumerate(binomial_pmf(N, model.eta0.weights[1]))}
+    for p in range(n - 1):
+        paths = {
+            path + (m,): q * r
+            for path, q in paths.items()
+            for m, r in enumerate(next_count_pmf(model.step(p), choice, N, path[-1]))
+        }
+    g = [model.step(p).G.values for p in range(n)]
+    values = [
+        sum(math.log(((N - m) * g[p][0] + m * g[p][1]) / N) for p, m in enumerate(path))
+        for path in paths
+    ]
+    order = np.argsort(values)
+    support, pmf = [], []
+    for value, q in zip(np.array(values)[order], np.array(list(paths.values()))[order]):
+        if support and value - support[-1] <= 1e-12 * max(1.0, abs(value)):
+            pmf[-1] += q
+        else:
+            support.append(value)
+            pmf.append(q)
+    return np.array(support), np.array(pmf)
+
+
+class TestTinySizeLaw:
+    """The engine's log gamma^N_n against its exact law at d = 2, N <= 4,
+    n <= 3, listed over every path of the state counts.  Each sample must
+    sit on the enumerated support, and the samples' frequencies must pass a
+    chi-square against the enumerated pmf.  The law's mean of gamma_bar is
+    exactly 1, the estimator's unbiasedness.  The three steps differ, so a
+    potential or kernel read at the wrong generation changes the law."""
+
+    MODEL = fk.explicit_model(
+        [
+            fk.FKStep(fk.Potential([0.3, 0.9]), fk.StochasticKernel([[0.8, 0.2], [0.3, 0.7]])),
+            fk.FKStep(fk.Potential([0.95, 0.2]), fk.StochasticKernel([[0.4, 0.6], [0.5, 0.5]])),
+            fk.FKStep(fk.Potential([0.6, 0.1]), fk.StochasticKernel([[0.9, 0.1], [0.2, 0.8]])),
+        ],
+        fk.ProbMeasure([0.35, 0.65]),
+    )
+    SIZES = [(1, 3), (2, 1), (2, 3), (3, 2), (4, 3)]
+    REPS = 2000
+
+    @pytest.mark.parametrize("N, n", SIZES)
+    @pytest.mark.parametrize("choice", [MULTI, TRANS])
+    def test_law_and_unbiasedness(self, choice, N, n):
+        support, pmf = exact_log_gamma_law(self.MODEL, choice, N, n)
+        assert pmf.sum() == pytest.approx(1.0, abs=1e-14)
+        log_gamma_n = fk.propagate(self.MODEL, n).log_gammas[-1]
+        assert abs(pmf @ np.exp(support - log_gamma_n) - 1.0) <= 1e-12
+        master = 1000 * N + 10 * n + (choice is TRANS)
+        samples = np.array(
+            [fk.run(self.MODEL, N, n, choice, derive_seed(master, r)).log_gamma_N
+             for r in range(self.REPS)]
+        )
+        nearest = np.abs(samples[:, None] - support[None, :]).argmin(axis=1)
+        assert np.abs(samples - support[nearest]).max() <= 1e-12
+        observed = np.bincount(nearest, minlength=support.size)
+        stat, dof = pooled_chi_square(observed, self.REPS * pmf)
+        assert dof >= 1
+        assert scipy.stats.chi2.sf(stat, dof) > 1e-4, (stat, dof)
+
+
 def reference_run(model, N, n, choice, seed):
     """log gamma_N by the plain loop: np.mean of the potential, a validated
     ParticleSystem per generation, np.cumsum, and every kernel row built
@@ -343,6 +427,39 @@ class TestSamplingTableMemo:
         assert copy._flow is None
         warm = fk.run(model, 16, 17, TRANS, seed=5).log_gamma_N
         assert fk.run(copy, 16, 17, TRANS, seed=5).log_gamma_N == warm
+
+
+
+class TestCarriedCounts:
+    """A system carries its state counts as tail counts; a successor takes
+    them from its own draw.  After every step they must be the counts of its
+    states."""
+
+    @staticmethod
+    def check(system, N, d):
+        counts = np.bincount(system.states, minlength=d)
+        assert np.array_equal(system.counts, counts)
+        assert system.counts.dtype == np.int64
+        assert type(system.tails) is tuple and len(system.tails) == d
+        assert all(type(t) is int for t in system.tails)
+        assert list(system.tails) == np.cumsum(counts[::-1])[::-1].tolist()
+        assert system.tails[0] == N
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 5])
+    def test_counts_after_every_step(self, d):
+        for kind, model in _models(d).items():
+            for choice in fk.KernelChoice:
+                for N in (1, 7, 64, 1000):
+                    seed = 31 * N + d
+                    states = np.random.default_rng(seed).integers(0, d, N)
+                    for system in (
+                        fk.init_particles(model, N, seed),
+                        fk.ParticleSystem(states, 0, fk.RngStream(seed), d),
+                    ):
+                        self.check(system, N, d)
+                        for _ in range(17):
+                            system = fk.step(system, model, choice)
+                            self.check(system, N, d)
 
 
 # Steps every property example may schedule: they keep their sampling
