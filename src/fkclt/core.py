@@ -463,7 +463,8 @@ def _categorical(
 ):
     """Inverse-CDF draws min{x : F(x) >= u}: each draw counts the first d-1
     cumulative values below its uniform, as one (d-1, k) comparison at cost
-    O(k(d-1)); the int64 states are the comparison rows added up.  The last
+    O(k(d-1)); the int64 states are the comparison rows added up in one
+    pass, the first row cast and each later row added to it.  The last
     cumulative is never compared, so a total that rounds below 1 still
     yields at most d-1.  ``cumulative`` is one nondecreasing CDF (d,) shared
     by all draws, or a table (m, d) whose row ``rows[i]`` serves draw ``i``.
@@ -475,10 +476,14 @@ def _categorical(
     inner = cumulative[..., :-1].T
     thresholds = inner[:, None] if rows is None else inner.take(rows, axis=1)
     compared = thresholds < u
-    states = np.zeros(u.size, dtype=np.int64)
-    counted = [u.size]
+    if len(compared) == 0:
+        states = np.zeros(u.size, dtype=np.int64)
+        return (states, (u.size,)) if tails else states
     # Rows by index: iterating over a 2-d array costs more per row.
-    for x in range(len(compared)):
+    above = compared[0]
+    states = above.astype(np.int64)
+    counted = [u.size, int(np.count_nonzero(above))]
+    for x in range(1, len(compared)):
         above = compared[x]
         states += above
         counted.append(int(np.count_nonzero(above)))

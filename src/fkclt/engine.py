@@ -24,6 +24,11 @@ that the exact layer uses too, and keeps it, up to
 ``core.SAMPLING_TABLES_MAX`` per step.  That memo is the only per-step
 cache; a kept table equals a rebuilt one bit for bit.  ``run``'s potential
 mean is still summed over the particle array, in particle order.
+
+``run`` calls ``step`` once per generation and each step asks its stream
+for N uniforms, so the fixed cost of those calls is paid n times per
+replicate; ``RngStream`` serves them from a bounded read-ahead block, and
+``ParticleSystem`` has slots.
 """
 
 from __future__ import annotations
@@ -71,22 +76,55 @@ def derive_seed(master_seed: int, index: int) -> int:
     return _mix64((master_seed + (index + 1) * _SPLITMIX_GAMMA) & _MASK64)
 
 
-class RngStream:
-    """Deterministic uniform stream (PCG64) with a draw-position counter."""
+# Doubles a stream draws ahead of its requests: 2**13 doubles is 64 KB.  A
+# clt replicate at n = N = 64 draws 64 * 65 uniforms, so one block serves
+# its whole run.
+READ_AHEAD = 1 << 13
 
-    __slots__ = ("seed", "position", "_gen")
+_NO_BLOCK = np.empty(0)
+_NO_BLOCK.setflags(write=False)
+
+
+class RngStream:
+    """Deterministic uniform stream (PCG64) with a draw-position counter.
+
+    ``uniforms(k)`` serves the next k uniforms of the stream from a
+    read-ahead block of ``READ_AHEAD`` doubles drawn straight from the
+    generator, so many small requests pay one generator call.  PCG64's
+    ``random(k)`` is prefix-consistent, so the served values are those
+    one ``random(position)`` call would give, whatever the request sizes.
+    A request that runs past the block takes what is left of it, then
+    fresh draws: one new block, or the rest of the request when that is at
+    least a block, which is not kept.  Served arrays are read-only views;
+    ``position`` counts the uniforms served, not those drawn ahead."""
+
+    __slots__ = ("seed", "position", "_gen", "_block", "_next")
 
     def __init__(self, seed: int):
         self.seed = int(seed) & _MASK64
         self.position = 0
         self._gen = _generator(self.seed)
+        self._block = _NO_BLOCK
+        self._next = 0
 
     def uniforms(self, k: int) -> np.ndarray:
         self.position += k
-        return self._gen.random(k)
+        start, stop = self._next, self._next + k
+        block = self._block
+        if stop > block.size:
+            left = block[start:]
+            fresh = self._gen.random(max(k, READ_AHEAD) - left.size)
+            block = np.concatenate((left, fresh)) if left.size else fresh
+            block.setflags(write=False)
+            if k >= READ_AHEAD:
+                self._block, self._next = _NO_BLOCK, 0
+                return block
+            self._block, start, stop = block, 0, k
+        self._next = stop
+        return block[start:stop]
 
 
-@dataclass
+@dataclass(slots=True)
 class ParticleSystem:
     """N particle locations plus the step counter and the owning stream.
 
@@ -107,7 +145,7 @@ class ParticleSystem:
             raise InvalidModel("particle system needs at least one particle")
         if states.min() < 0 or states.max() >= self.d:
             raise InvalidModel("particle state out of range")
-        states.flags.writeable = False
+        states.setflags(write=False)
         self.states = states
         counts = np.bincount(states, minlength=self.d).tolist()
         self.tails = tuple(accumulate(reversed(counts)))[::-1]
@@ -120,7 +158,7 @@ class ParticleSystem:
         checking them again: ``_categorical`` draws int64 states in [0, d-1]
         by construction and counts them from the same comparison."""
         out = object.__new__(cls)
-        states.flags.writeable = False
+        states.setflags(write=False)
         out.states, out.tails, out.step, out.stream, out.d = states, tails, step, stream, d
         return out
 
@@ -198,8 +236,9 @@ def run(
     system = init_particles(model, N, seed)
     log_gamma = 0.0
     for p in range(n):
-        # The sum and divide that np.mean does, without its wrapper.
-        mean_p = float(np.add.reduce(model.step(p).G.values[system.states]) / N)
+        # The sum and divide that np.mean does, without its wrapper; the
+        # divide by N in Python floats gives the same bits.
+        mean_p = float(np.add.reduce(model.step(p).G.values[system.states])) / N
         if mean_p <= 0.0:
             raise InvalidModel(
                 f"empirical potential mean vanished at step {p}; "

@@ -159,7 +159,8 @@ def ks_statistic(samples: Sequence[float], cdf: Callable[[float], float]) -> tup
     R = x.size
     if R == 0:
         raise ValueError("need at least one sample")
-    F = np.array([float(cdf(v)) for v in x])
+    # Python floats: the CDF costs more per numpy scalar.
+    F = np.array([cdf(v) for v in x.tolist()], dtype=float)
     i = np.arange(1, R + 1)
     D = float(np.maximum(i / R - F, F - (i - 1) / R).max())
     return D, kolmogorov_p(math.sqrt(R) * D)

@@ -1,6 +1,8 @@
 """The package imports only the standard library, numpy and itself; scipy
-and the other test tools stay out of ``src/fkclt``.  The suite imports only
-what ``pyproject.toml`` declares, so ``pip install .[test]`` can collect it."""
+and the other test tools stay out of ``src/fkclt``.  Of numpy it uses only
+the public modules: the private ones (``numpy._core``, ``numpy.core``,
+``numpy.lib._*``) move between releases.  The suite imports only what
+``pyproject.toml`` declares, so ``pip install .[test]`` can collect it."""
 
 from __future__ import annotations
 
@@ -15,6 +17,7 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "fkclt"
 TESTS = ROOT / "tests"
 ALLOWED = set(sys.stdlib_module_names) | {"numpy", "fkclt"}
+PRIVATE_NUMPY = re.compile(r"numpy\.(_core|core|lib\._)")
 
 
 def imported_roots(path: pathlib.Path) -> set:
@@ -28,15 +31,69 @@ def imported_roots(path: pathlib.Path) -> set:
     return roots
 
 
+def numpy_names(path: pathlib.Path) -> set:
+    """Dotted numpy names a module imports or reads: ``import numpy.a``,
+    ``from numpy.a import b`` (as ``numpy.a.b``), and attribute chains on a
+    name bound to numpy or to one of its modules (``np.a.b``)."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    names, bound = set(), {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                names.add(alias.name)
+                bound[alias.asname or alias.name.split(".")[0]] = (
+                    alias.name if alias.asname else alias.name.split(".")[0]
+                )
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            for alias in node.names:
+                names.add(f"{node.module}.{alias.name}")
+                bound[alias.asname or alias.name] = f"{node.module}.{alias.name}"
+    for node in ast.walk(tree):
+        chain = []
+        while isinstance(node, ast.Attribute):
+            chain.append(node.attr)
+            node = node.value
+        if chain and isinstance(node, ast.Name) and node.id in bound:
+            names.add(".".join([bound[node.id]] + chain[::-1]))
+    return {name for name in names if name.split(".")[0] == "numpy"}
+
+
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_imports_only_stdlib_numpy_and_fkclt(path):
     assert imported_roots(path) <= ALLOWED, imported_roots(path) - ALLOWED
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_private_numpy_module(path):
+    private = {name for name in numpy_names(path) if PRIVATE_NUMPY.match(name)}
+    assert not private, private
 
 
 def test_the_guard_sees_a_third_party_import(tmp_path):
     module = tmp_path / "m.py"
     module.write_text("import os\nfrom .core import x\n\ndef f():\n    from scipy import stats\n")
     assert imported_roots(module) - ALLOWED == {"scipy"}
+
+
+def test_the_guard_sees_a_private_numpy_module(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text(
+        "import numpy as np\n"
+        "import numpy.core.multiarray\n"
+        "from numpy._core import umath\n"
+        "from numpy.lib import _function_base_impl as fb\n"
+        "from numpy.lib.stride_tricks import sliding_window_view\n"
+        "y = np._core.umath.add\n"
+        "z = np.add.reduce(np.lib.stride_tricks)\n"
+    )
+    private = {name for name in numpy_names(module) if PRIVATE_NUMPY.match(name)}
+    assert private == {
+        "numpy.core.multiarray",
+        "numpy._core.umath",
+        "numpy.lib._function_base_impl",
+        "numpy._core.umath.add",
+        "numpy._core",
+    }
 
 
 def declared_requirements() -> set:

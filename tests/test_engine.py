@@ -10,14 +10,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fkclt as fk
+import fkclt.engine
 from fkclt.core import (
     SAMPLING_TABLES_MAX,
     InvalidModel,
     _categorical,
+    _generator,
     _kernel_rows_raw,
     _phi_raw,
 )
-from fkclt.engine import derive_seed
+from fkclt.engine import READ_AHEAD, derive_seed
 
 from conftest import random_chain, random_explicit_model, random_model
 
@@ -46,6 +48,46 @@ class TestSeeds:
         assert a.position == 100
         assert a.uniforms(3).shape == (3,)
         assert a.position == 103
+
+
+BLOCK_SIZES = [0, 1, 63, 64, READ_AHEAD - 1, READ_AHEAD, READ_AHEAD + 1, 10_000]
+
+
+class TestStream:
+    """Whatever the request sizes, a stream serves the prefix of one
+    generator draw, counts what it served, and keeps at most one read-ahead
+    block of 64 KB."""
+
+    @pytest.mark.parametrize(
+        "sizes",
+        [BLOCK_SIZES, BLOCK_SIZES[::-1], [63] * 300, [READ_AHEAD - 1, 1, 1, READ_AHEAD, 2, 10_000]],
+        ids=["rising", "falling", "small", "boundaries"],
+    )
+    def test_requests_serve_the_prefix_of_one_draw(self, sizes):
+        stream = fk.RngStream(2024)
+        served = []
+        for k in sizes:
+            u = stream.uniforms(k)
+            served.append(u)
+            assert u.shape == (k,) and u.dtype == np.float64
+            assert not u.flags.writeable
+            assert stream.position == sum(map(len, served))
+            assert stream._block.nbytes <= 64 * 1024
+        expected = _generator(2024).random(stream.position)
+        assert np.concatenate(served).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("N, n", [(64, 64), (3, 5), (10_000, 2)])
+    def test_one_run_asks_for_its_uniforms_exactly(self, two_state, monkeypatch, N, n):
+        asked = []
+        uniforms = fkclt.engine.RngStream.uniforms
+
+        def counted(stream, k):
+            asked.append(k)
+            return uniforms(stream, k)
+
+        monkeypatch.setattr(fkclt.engine.RngStream, "uniforms", counted)
+        fk.run(two_state, N, n, MULTI, seed=3)
+        assert sum(asked) == N * (n + 1) and len(asked) == n + 1
 
 
 class TestInit:
@@ -222,6 +264,72 @@ class TestNextCountLaw:
         assert k @ multi == pytest.approx(k @ trans, rel=1e-12)
         assert k**2 @ multi > k**2 @ trans
 
+
+def _skip_comparison_row_1(cumulative, u, rows=None, tails=False):
+    """``_categorical`` with comparison row 1 left out of the states."""
+    states, counted = _categorical(cumulative, u, rows, tails=True)
+    row1 = cumulative[..., 1] if rows is None else cumulative[rows, 1]
+    states = states - (row1 < u)
+    return (states, counted) if tails else states
+
+
+class TestNextCountLawThreeStates:
+    """Each state's next count at d = 3, given counts m, against its exact
+    marginal law: Binomial(N, Phi(m/N)(x)) for the multinomial kernel, and
+    the convolution over source states s of Binomial(m_s, K(s, x)) for the
+    transport kernel.  At d = 2 a draw adds one comparison row, so only d >= 3
+    sees how the later rows add up."""
+
+    M = fk.StochasticKernel([[0.8, 0.15, 0.05], [0.1, 0.8, 0.1], [0.05, 0.15, 0.8]])
+    G = fk.Potential([0.9, 0.97, 0.85])
+    m = (20, 20, 24)
+    N = sum(m)
+    reps = 4000
+
+    def marginal_pmfs(self, choice: fk.KernelChoice) -> list:
+        mu = np.array(self.m) / self.N
+        K = _kernel_rows_raw(choice, mu, self.G.values, self.M.rows)
+        if choice is MULTI:
+            return [binomial_pmf(self.N, K[0, x]) for x in range(3)]
+        pmfs = []
+        for x in range(3):
+            pmf = np.ones(1)
+            for s, m_s in enumerate(self.m):
+                pmf = np.convolve(pmf, binomial_pmf(m_s, K[s, x]))
+            pmfs.append(pmf)
+        return pmfs
+
+    def next_counts(self, choice: fk.KernelChoice) -> np.ndarray:
+        model = fk.homogeneous_model(self.M, self.G, fk.ProbMeasure.uniform(3))
+        states = np.repeat([0, 1, 2], self.m)
+        counts = np.empty((self.reps, 3), dtype=np.int64)
+        for r in range(self.reps):
+            system = fk.ParticleSystem(states, 0, fk.RngStream(derive_seed(83, r)), 3)
+            counts[r] = np.bincount(fk.step(system, model, choice).states, minlength=3)
+        return counts
+
+    def p_values(self, choice: fk.KernelChoice) -> list:
+        counts = self.next_counts(choice)
+        return [
+            scipy.stats.chi2.sf(*pooled_chi_square(
+                np.bincount(counts[:, x], minlength=self.N + 1), self.reps * pmf))
+            for x, pmf in enumerate(self.marginal_pmfs(choice))
+        ]
+
+    @pytest.mark.parametrize("choice", [MULTI, TRANS])
+    def test_each_marginal_follows_its_kernel_law(self, choice):
+        assert min(self.p_values(choice)) > 1e-3
+
+    @pytest.mark.parametrize("choice, other", [(MULTI, TRANS), (TRANS, MULTI)])
+    def test_rejects_the_kernel_swap(self, monkeypatch, choice, other):
+        step = fk.step
+        monkeypatch.setattr(fk, "step", lambda system, model, _: step(system, model, other))
+        assert min(self.p_values(choice)) < 1e-6
+
+    @pytest.mark.parametrize("choice", [MULTI, TRANS])
+    def test_rejects_a_draw_that_skips_comparison_row_1(self, monkeypatch, choice):
+        monkeypatch.setattr(fkclt.engine, "_categorical", _skip_comparison_row_1)
+        assert min(self.p_values(choice)) < 1e-6
 
 
 def next_count_pmf(fkstep: fk.FKStep, choice: fk.KernelChoice, N: int, m: int) -> np.ndarray:

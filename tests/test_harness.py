@@ -73,6 +73,25 @@ class TestKsStatistic:
         assert abs(D - ref.statistic) <= 1e-12
         assert abs(p - ref.pvalue) <= 1e-9
 
+    @pytest.mark.parametrize(
+        "samples",
+        [
+            np.random.default_rng(77).normal(0.3, 1.7, size=2000),
+            np.array([0.4]),
+            np.repeat([-1.25, 0.0, 0.3, 2.0], [7, 1, 12, 5]),
+        ],
+        ids=["2000", "one", "tied"],
+    )
+    def test_bits_of_the_per_scalar_loop(self, samples):
+        # The CDF evaluated on each numpy scalar of the sorted sample, as
+        # ks_statistic did before it read the sample as Python floats.
+        cdf = normal_cdf(0.3, 1.7**2)
+        x = np.sort(samples)
+        F = np.array([float(cdf(v)) for v in x])
+        i = np.arange(1, x.size + 1)
+        D = float(np.maximum(i / x.size - F, F - (i - 1) / x.size).max())
+        assert ks_statistic(samples, cdf) == (D, kolmogorov_p(math.sqrt(x.size) * D))
+
     def test_kolmogorov_series_matches_scipy(self):
         for t in (1e-4, 1e-3, 0.005, 0.01, 0.05, 0.1, 0.2, 0.3, 0.5, 1.0, 1.5, 2.5):
             assert abs(kolmogorov_p(t) - float(scipy.special.kolmogorov(t))) <= 1e-12
