@@ -164,32 +164,29 @@ def _build_model(obj: dict, path: str) -> tuple:
     if type(obj["schema"]) is not int or obj["schema"] != SCHEMA_VERSION:  # true and 1.0 equal 1
         raise CliError(EXIT_SCHEMA, f"unsupported schema version {obj['schema']!r} in {path}")
 
-    def array(key, source=obj):
-        return np.asarray(source[key], dtype=float)
-
     try:
         if kind == "homogeneous":
             model = homogeneous_model(
-                StochasticKernel(array("M")), Potential(array("G")), ProbMeasure(array("eta0"))
+                StochasticKernel(obj["M"]), Potential(obj["G"]), ProbMeasure(obj["eta0"])
             )
             return kind, model, model.eta0
         if kind == "hmm":
             params = app_models.HmmParams(
-                transition=StochasticKernel(array("transition")),
-                emission=array("emission"),
-                initial=ProbMeasure(array("initial")),
+                transition=StochasticKernel(obj["transition"]),
+                emission=obj["emission"],
+                initial=ProbMeasure(obj["initial"]),
             )
             return kind, params, None
         family = []
         for i, entry in enumerate(obj["family"]):
             _check_fields(entry, ("M", "G"), (), f"family entry {i} of {path}")
-            family.append((StochasticKernel(array("M", entry)), Potential(array("G", entry))))
+            family.append((StochasticKernel(entry["M"]), Potential(entry["G"])))
         chain = randenv.EnvironmentChain(
-            transition=StochasticKernel(array("env_transition")),
-            stationary=ProbMeasure(array("env_stationary")),
+            transition=StochasticKernel(obj["env_transition"]),
+            stationary=ProbMeasure(obj["env_stationary"]),
             family=tuple(family),
         )
-        eta0 = ProbMeasure(array("eta0")) if "eta0" in obj else None
+        eta0 = ProbMeasure(obj["eta0"]) if "eta0" in obj else None
         return kind, chain, eta0
     except (InvalidModel, FKError) as exc:
         raise CliError(EXIT_MODEL, f"invalid model in {path!r}: {exc}") from exc

@@ -18,6 +18,8 @@ solvers and the particle engine call them inside their loops at array cost.
 Two checks are the value layer's one contract, which every value type,
 ``as_values`` and the HMM emission matrix go through: ``_finite`` (shape,
 non-empty, finite) and ``_stochastic`` (rows that are probability vectors).
+Index arrays (particle states, environment paths, symbols) have one check
+too, ``_indices``: 1-d, integral, and in range where the caller knows it.
 """
 
 from __future__ import annotations
@@ -80,6 +82,23 @@ def _finite(values, ndim: int, what: str) -> np.ndarray:
         raise DimensionMismatch(f"{what} must be {ndim}-d and non-empty, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise InvalidModel(f"{what} has non-finite entries")
+    return arr
+
+
+def _indices(values, what: str, bound: Optional[int] = None, empty: bool = False) -> np.ndarray:
+    """``values`` as a 1-d int64 array, not copied when it is one.  Another
+    shape, no values unless ``empty``, a value that is not an integer, a
+    negative one, or one at or above a given ``bound`` raises InvalidModel."""
+    arr = np.asarray(values)
+    if arr.ndim != 1 or not (arr.size or empty):
+        need = f"{what}s" if empty else f"at least one {what}"
+        raise InvalidModel(f"need a 1-d array of {need}, got shape {arr.shape}")
+    if arr.dtype != np.int64:
+        if arr.dtype.kind == "f" and not (np.isfinite(arr).all() and (arr == np.trunc(arr)).all()):
+            raise InvalidModel(f"{what} values must be integers, got a non-integral one")
+        arr = arr.astype(np.int64)
+    if arr.size and (arr.min() < 0 or (bound is not None and arr.max() >= bound)):
+        raise InvalidModel(f"{what} out of range [0, {'inf' if bound is None else bound - 1}]")
     return arr
 
 

@@ -50,6 +50,7 @@ from .core import (
     _categorical,
     _counts,
     _generator,
+    _indices,
     _phi_raw,
     as_values,
 )
@@ -140,11 +141,7 @@ class ParticleSystem:
     tails: tuple = field(init=False)
 
     def __post_init__(self) -> None:
-        states = np.asarray(self.states, dtype=np.int64)
-        if states.ndim != 1 or states.size == 0:
-            raise InvalidModel("particle system needs at least one particle")
-        if states.min() < 0 or states.max() >= self.d:
-            raise InvalidModel("particle state out of range")
+        states = _indices(self.states, "particle state", self.d)
         states.setflags(write=False)
         self.states = states
         counts = np.bincount(states, minlength=self.d).tolist()

@@ -9,6 +9,10 @@ The killed chains run ``SURVIVAL_CHUNK`` at a time.  Each chunk jumps one
 PCG64 stream ahead to its own uniforms, so every chain reads the same
 uniforms for any chunk layout, and memory is O(``SURVIVAL_CHUNK``) whatever
 the number of trials.
+
+``hmm_env_chain`` hands the HMM to the random-environment layer as the
+Markov chain of (hidden state, symbol) pairs, whose symbols have the exact
+law of the observations.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ from .core import (
     _categorical,
     _chain_path,
     _generator,
+    _indices,
     _stochastic,
     homogeneous_model,
     explicit_model,
@@ -164,17 +169,6 @@ def hmm_generate(params: HmmParams, length: int, seed: int) -> tuple:
     return hidden, observed
 
 
-def _check_symbols(params: HmmParams, observations: Sequence[int]) -> np.ndarray:
-    obs = np.asarray(observations, dtype=np.int64)
-    if obs.ndim != 1:
-        raise InvalidModel("observations must be a 1-d integer sequence")
-    if obs.size and (obs.min() < 0 or obs.max() >= params.symbol_count):
-        raise InvalidModel(
-            f"observation symbol out of range [0, {params.symbol_count - 1}]"
-        )
-    return obs
-
-
 def hmm_build(params: HmmParams, observations: Sequence[int]) -> FKModel:
     """Explicit-schedule model whose normalizing constant after all steps is
     the marginal likelihood of the observation sequence.
@@ -183,9 +177,7 @@ def hmm_build(params: HmmParams, observations: Sequence[int]) -> FKModel:
     a symbol with a zero likelihood under some hidden state breaks the
     positive-potential requirement and is rejected.
     """
-    obs = _check_symbols(params, observations)
-    if obs.size == 0:
-        raise InvalidModel("need at least one observation to build a model")
+    obs = _indices(observations, "observation symbol", params.symbol_count)
     steps = []
     for t, y in enumerate(obs):
         column = params.emission[:, y]
@@ -201,7 +193,7 @@ def hmm_build(params: HmmParams, observations: Sequence[int]) -> FKModel:
 def _forward(params: HmmParams, observations: Sequence[int]) -> tuple:
     """(log marginal likelihood, predictive filter weights) by the classical
     scaled forward recursion, independent of the measure-flow code on purpose."""
-    obs = _check_symbols(params, observations)
+    obs = _indices(observations, "observation symbol", params.symbol_count, empty=True)
     alpha = params.initial.weights.copy()
     total = 0.0
     for t, y in enumerate(obs):
@@ -226,27 +218,19 @@ def hmm_filter(params: HmmParams, observations: Sequence[int]) -> ProbMeasure:
 
 
 def hmm_env_chain(params: HmmParams) -> EnvironmentChain:
-    """Environment chain driven by the observable process, approximated by
-    its own finite Markov chain on symbols.
-
-    Environment state s selects the hidden transition kernel together with
-    the emission column of s as the potential; the symbol-to-symbol
-    transition is the one-step law of consecutive observations under the
-    stationary hidden chain.  Emission columns must be strictly positive.
-    """
-    e = params.emission
-    if e.min() <= 0.0:
-        raise InvalidModel("environment family needs strictly positive emission columns")
-    pi = stationary_distribution(params.transition).weights
-    # joint(s, s') = sum_{x, x'} pi(x) e(x, s) M(x, x') e(x', s')
-    joint = (e * pi[:, None]).T @ params.transition.rows @ e
-    symbol_law = joint.sum(axis=1)
-    env_transition = StochasticKernel(joint / symbol_law[:, None])
-    family = tuple(
-        (params.transition, Potential(e[:, s])) for s in range(params.symbol_count)
-    )
+    """Environment chain on the (hidden state x, symbol y) pairs, state
+    ``x * S + y`` for S symbols: Markov, where the symbols alone are not.
+    It moves by ``M(x, x') e(x', y')`` whatever y is, has the stationary law
+    ``pi(x) e(x, y)``, and pair (x, y) selects (M, e(., y)), so its symbols
+    have the exact law of the observations.  Emission columns must be
+    strictly positive."""
+    M, e = params.transition, params.emission
+    d, S = e.shape
+    pi = stationary_distribution(M).weights
+    potentials = [Potential(e[:, y]) for y in range(S)]
+    moves = (M.rows[:, :, None] * e).reshape(d, d * S)  # row x: M(x, x') e(x', y')
     return EnvironmentChain(
-        transition=env_transition,
-        stationary=stationary_distribution(env_transition),
-        family=family,
+        transition=StochasticKernel(np.repeat(moves, S, axis=0)),
+        stationary=ProbMeasure((pi[:, None] * e).ravel()),
+        family=tuple((M, G) for _ in range(d) for G in potentials),
     )

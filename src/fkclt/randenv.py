@@ -63,6 +63,7 @@ from .core import (
     _cov_raw,
     _frozen,
     _generator,
+    _indices,
 )
 from .oracle import _limit_function, _ordered_products
 
@@ -158,9 +159,7 @@ class EnvPath:
     lo: int  # absolute index of states[0]
 
     def __post_init__(self) -> None:
-        states = np.asarray(self.states, dtype=np.int64)
-        if states.ndim != 1 or states.size == 0:
-            raise InvalidModel("environment path must be 1-d and non-empty")
+        states = _indices(self.states, "environment state")
         states.flags.writeable = False
         object.__setattr__(self, "states", states)
         # (chain, choice, depth, contributions at positions 1..) or None

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import math
 import pickle
 
@@ -330,6 +331,78 @@ class TestNextCountLawThreeStates:
     def test_rejects_a_draw_that_skips_comparison_row_1(self, monkeypatch, choice):
         monkeypatch.setattr(fkclt.engine, "_categorical", _skip_comparison_row_1)
         assert min(self.p_values(choice)) < 1e-6
+
+
+def multinomial_law(N: int, p) -> dict:
+    """Multinomial(N, p) as {count vector: probability}, over every vector
+    of d = len(p) counts that add up to N."""
+    return {
+        c: math.factorial(N) / math.prod(math.factorial(k) for k in c)
+        * math.prod(q**k for q, k in zip(p, c))
+        for c in itertools.product(range(N + 1), repeat=len(p))
+        if sum(c) == N
+    }
+
+
+class TestJointNextCountLaw:
+    """The whole next count vector at d = 3, given counts m, against its
+    exact joint law over all C(N + 2, 2) = 91 count vectors of N = 12
+    particles: Multinomial(N, Phi(m/N)) for the multinomial kernel, and for
+    the transport kernel the convolution over source states s of
+    Multinomial(m_s, K(s, .)).  The marginal tests above cannot see how the
+    counts of one draw depend on each other."""
+
+    M = TestNextCountLawThreeStates.M
+    G = TestNextCountLawThreeStates.G
+    m = (3, 4, 5)
+    N = sum(m)
+    reps = 4000
+
+    def exact_law(self, choice: fk.KernelChoice) -> dict:
+        K = _kernel_rows_raw(choice, np.array(self.m) / self.N, self.G.values, self.M.rows)
+        if choice is MULTI:
+            return multinomial_law(self.N, K[0])
+        law = {(0, 0, 0): 1.0}
+        for s, m_s in enumerate(self.m):
+            source = multinomial_law(m_s, K[s])
+            joined = {}
+            for a, p in law.items():
+                for b, q in source.items():
+                    c = (a[0] + b[0], a[1] + b[1], a[2] + b[2])
+                    joined[c] = joined.get(c, 0.0) + p * q
+            law = joined
+        return law
+
+    def next_counts(self, choice: fk.KernelChoice) -> dict:
+        model = fk.homogeneous_model(self.M, self.G, fk.ProbMeasure.uniform(3))
+        states = np.repeat([0, 1, 2], self.m)
+        seen = {}
+        for r in range(self.reps):
+            system = fk.ParticleSystem(states, 0, fk.RngStream(derive_seed(101, r)), 3)
+            c = tuple(np.bincount(fk.step(system, model, choice).states, minlength=3).tolist())
+            seen[c] = seen.get(c, 0) + 1
+        return seen
+
+    def p_value(self, seen: dict, law: dict) -> float:
+        """Chi-square over the count vectors in order of decreasing exact
+        probability, the rare ones pooled."""
+        order = sorted(law, key=law.get, reverse=True)
+        observed = np.array([seen.get(c, 0) for c in order])
+        return scipy.stats.chi2.sf(*pooled_chi_square(
+            observed, self.reps * np.array([law[c] for c in order])))
+
+    def test_exact_laws_list_every_count_vector(self):
+        for choice in (MULTI, TRANS):
+            law = self.exact_law(choice)
+            assert len(law) == math.comb(self.N + 2, 2) == 91
+            assert sum(law.values()) == pytest.approx(1.0, abs=1e-14)
+
+    @pytest.mark.parametrize("choice, other", [(MULTI, TRANS), (TRANS, MULTI)])
+    def test_count_vector_follows_its_kernel_law(self, choice, other):
+        seen = self.next_counts(choice)
+        assert set(seen) <= set(self.exact_law(choice))
+        assert self.p_value(seen, self.exact_law(choice)) > 1e-3
+        assert self.p_value(seen, self.exact_law(other)) < 1e-6
 
 
 def next_count_pmf(fkstep: fk.FKStep, choice: fk.KernelChoice, N: int, m: int) -> np.ndarray:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import math
 import tracemalloc
 
@@ -267,10 +268,47 @@ class TestForwardLikelihood:
             fk.forward_likelihood(params, [0, 1])
 
 
+def word_law_gap(params: fk.HmmParams, longest: int = 4) -> float:
+    """Largest gap, over every symbol word of length 1..``longest``, between
+    the word's probability under ``hmm_env_chain`` started from its
+    stationary law and the HMM's own probability of it, by the forward
+    recursion started from the hidden chain's stationary law.  Each
+    environment state emits the symbol whose emission column is its
+    potential."""
+    chain = models.hmm_env_chain(params)
+    e = params.emission
+    symbol = np.array([
+        np.flatnonzero((e.T == chain.potential(s).values).all(axis=1))[0]
+        for s in range(chain.env_size)
+    ])
+    stationary = fk.HmmParams(
+        params.transition, e, fk.stationary_distribution(params.transition)
+    )
+    gap = 0.0
+    for length in range(1, longest + 1):
+        for word in itertools.product(range(params.symbol_count), repeat=length):
+            weights = chain.stationary.weights * (symbol == word[0])
+            for y in word[1:]:
+                weights = (weights @ chain.transition.rows) * (symbol == y)
+            exact = math.exp(fk.forward_likelihood(stationary, word))
+            gap = max(gap, abs(float(weights.sum()) - exact))
+    return gap
+
+
 class TestHmmEnvironment:
+    def test_words_have_the_observation_law(self, hmm_params):
+        rng = np.random.default_rng(2027)
+        three = fk.HmmParams(
+            transition=fk.StochasticKernel(rng.dirichlet(np.ones(3), size=3)),
+            emission=rng.dirichlet(np.ones(3), size=3),
+            initial=fk.ProbMeasure.uniform(3),
+        )
+        for params in (hmm_params, three):
+            assert word_law_gap(params) <= 1e-14
+
     def test_env_chain_shape(self, hmm_params):
         chain = hmm_env_chain(hmm_params)
-        assert chain.env_size == hmm_params.symbol_count
+        assert chain.env_size == hmm_params.hidden_count * hmm_params.symbol_count
         assert chain.state_dim == hmm_params.hidden_count
 
     def test_rejects_zero_emission_entries(self, hmm_params):
@@ -289,8 +327,8 @@ class TestHmmEnvironment:
         # and boundary effects.
         chain = hmm_env_chain(hmm_params)
         n, depth = 3000, 40
-        _, obs = fk.hmm_generate(hmm_params, n, seed=314159)
-        path = EnvPath(obs, 0)
+        hidden, obs = fk.hmm_generate(hmm_params, n, seed=314159)
+        path = EnvPath(hidden * hmm_params.symbol_count + obs, 0)
         logs = []
         for p in range(depth, n):
             eta = eta_inf_env(chain, path, p, depth)

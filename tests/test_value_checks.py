@@ -297,3 +297,49 @@ def test_as_values_rejects_an_empty_vector(values):
         as_values(values)
     with pytest.raises(DimensionMismatch):
         fk.oscillation(values)
+
+
+# ``core._indices`` is the one check of index arrays.  Each edge below used
+# to cast with ``np.asarray(values, dtype=np.int64)``, which truncates a
+# non-integral value to the index below it.
+
+_HMM = fk.HmmParams(
+    fk.StochasticKernel([[0.7, 0.3], [0.4, 0.6]]),
+    [[0.8, 0.2], [0.3, 0.7]],
+    fk.ProbMeasure.uniform(2),
+)
+
+INDEX_EDGES = {
+    "forward_likelihood": lambda values: fk.forward_likelihood(_HMM, values),
+    "hmm_build": lambda values: fk.hmm_build(_HMM, values).step(1).G.values,
+    "EnvPath": lambda values: fk.EnvPath(values, 0).states,
+    "ParticleSystem": lambda values: fk.ParticleSystem(values, 0, fk.RngStream(1), 2).states,
+}
+
+
+@pytest.mark.parametrize(
+    "values", [[0.9, 1.5], np.array([0.5, 1.9]), [0.0, np.nan], [1.0, np.inf]]
+)
+@pytest.mark.parametrize("edge", list(INDEX_EDGES))
+def test_non_integral_indices_are_rejected(edge, values):
+    with pytest.raises(InvalidModel, match="integers"):
+        INDEX_EDGES[edge](values)
+
+
+@pytest.mark.parametrize("edge", list(INDEX_EDGES))
+def test_integral_floats_read_as_their_integers(edge):
+    got, want = INDEX_EDGES[edge]([0.0, 1.0]), INDEX_EDGES[edge](np.array([0, 1]))
+    assert np.array_equal(got, want) and np.asarray(got).dtype == np.asarray(want).dtype
+
+
+def test_int64_states_are_kept_as_they_are():
+    states = np.array([0, 1, 1])
+    assert fk.ParticleSystem(states, 0, fk.RngStream(1), 2).states is states
+    assert fk.EnvPath(states, 0).states is states
+
+
+def test_negative_environment_states_are_rejected():
+    # A negative state used to index the chain's tables from the end, so a
+    # path of -1s read as a path of the last state.
+    with pytest.raises(InvalidModel, match="out of range"):
+        fk.EnvPath([0, -1, 1], 0)
