@@ -243,6 +243,20 @@ class KernelChoice(enum.Enum):
     TRANSPORT = "transport"
 
 
+def _transport(choice: KernelChoice) -> bool:
+    """Whether ``choice`` is the transport kernel.  Anything that is neither
+    member is a ``ValueError``, so no caller runs one kernel for a value
+    that names neither."""
+    if choice is KernelChoice.TRANSPORT:
+        return True
+    if choice is KernelChoice.MULTINOMIAL:
+        return False
+    raise ValueError(
+        "kernel choice must be KernelChoice.MULTINOMIAL or KernelChoice.TRANSPORT, "
+        f"got {choice!r}"
+    )
+
+
 # Most sampling tables one ``FKStep`` keeps.  There are C(N+d-1, d-1) count
 # vectors per kernel, so at large N or d a count vector seldom comes back and
 # a kept table is seldom read again.  Past the cap, tables are built and not
@@ -271,32 +285,38 @@ class FKStep:
     def __reduce__(self):
         return FKStep, (self.G, self.M)
 
-    def sampling_table(self, choice: KernelChoice, tails: tuple) -> np.ndarray:
-        """The CDF table ``_categorical`` draws a generation from, given the
-        generation's tail counts: ``tails[x]`` is the number of particles in
-        state x or above, a tuple of d Python ints whose first entry is N
-        (what ``_categorical`` returns with ``tails=True``).  The table is
-        the CDF of ``phi`` (d,) for the multinomial kernel, the CDFs of the d
-        transport rows (d, d) for the transport kernel.  The empirical
+    def sampling_table(self, transport: bool, tails: tuple) -> np.ndarray:
+        """The comparison thresholds ``_categorical_thresholds`` draws a
+        generation from, given the kernel (``transport``, a bool: False for
+        the multinomial kernel) and the generation's tail counts:
+        ``tails[x]`` is the number of particles in state x or above, a tuple
+        of d Python ints whose first entry is N (what the draw returns with
+        ``tails=True``).  The thresholds are the first d-1 CDF values of each
+        law a particle may draw from, one law per column: the CDF of ``phi``
+        as a (d-1, 1) column for the multinomial kernel, and the CDFs of the
+        d transport rows as a contiguous (d-1, d) table for the transport
+        kernel, column x serving the particles in state x.  The empirical
         measure is ``counts / N``, where ``counts[x] = tails[x] - tails[x+1]``,
-        so the table is a function of ``(choice, tails)`` and is kept under
-        that key, up to ``SAMPLING_TABLES_MAX`` tables; a kept table is the
-        array a rebuild would give, bit for bit.  Both kernels' tables come
-        from the rows of ``_kernel_rows_raw``: the multinomial rows all equal
-        ``phi``, so its table is row 0's CDF.  A build that raises (a
-        transport potential above 1, or a table that is not finite, as when
-        every reweighted count underflows to 0) keeps nothing, so it raises
-        again on every use."""
-        key = (choice, tails)
+        so the table is a function of ``(transport, tails)`` and is kept
+        under that key, which hashes no ``Enum``, up to
+        ``SAMPLING_TABLES_MAX`` tables; a kept table is the array a rebuild
+        would give, bit for bit.  Both kernels' tables come from the rows of
+        ``_kernel_rows_raw``: the multinomial rows all equal ``phi``, so its
+        table is row 0's CDF.  A build that raises (a transport potential
+        above 1, or a CDF that is not finite, as when every reweighted count
+        underflows to 0) keeps nothing, so it raises again on every use."""
+        key = (transport, tails)
         table = self._tables.get(key)
         if table is None:
             counts = _counts(tails)
+            choice = KernelChoice.TRANSPORT if transport else KernelChoice.MULTINOMIAL
             rows = _kernel_rows_raw(choice, counts / tails[0], self.G.values, self.M.rows)
-            table = rows[0].cumsum() if choice is KernelChoice.MULTINOMIAL else rows.cumsum(axis=1)
-            if not np.isfinite(table).all():
+            cumulative = rows.cumsum(axis=1) if transport else rows[:1].cumsum(axis=1)
+            if not np.isfinite(cumulative).all():
                 raise InvalidModel(
                     f"sampling table for state counts {counts.tolist()} is not finite"
                 )
+            table = np.ascontiguousarray(cumulative[:, :-1].T)
             table.flags.writeable = False
             if len(self._tables) < SAMPLING_TABLES_MAX:
                 self._tables[key] = table
@@ -474,27 +494,27 @@ def _counts(tails: tuple) -> np.ndarray:
     return np.subtract(tails, tails[1:] + (0,))
 
 
-def _categorical(
-    cumulative: np.ndarray,
+def _categorical_thresholds(
+    thresholds: np.ndarray,
     u: np.ndarray,
     rows: Optional[np.ndarray] = None,
     tails: bool = False,
 ):
-    """Inverse-CDF draws min{x : F(x) >= u}: each draw counts the first d-1
-    cumulative values below its uniform, as one (d-1, k) comparison at cost
-    O(k(d-1)); the int64 states are the comparison rows added up in one
-    pass, the first row cast and each later row added to it.  The last
-    cumulative is never compared, so a total that rounds below 1 still
-    yields at most d-1.  ``cumulative`` is one nondecreasing CDF (d,) shared
-    by all draws, or a table (m, d) whose row ``rows[i]`` serves draw ``i``.
+    """Inverse-CDF draws min{x : F(x) >= u} from comparison thresholds: each
+    draw counts the thresholds below its uniform, as one (d-1, k)
+    comparison at cost O(k(d-1)); the int64 states are the comparison rows
+    added up in one pass, the first row cast and each later row added to
+    it.  ``thresholds`` (d-1, m) holds the first d-1 values of m
+    nondecreasing CDFs over d states, one per column: with ``rows`` None,
+    m = 1 and every draw compares against the one column; otherwise column
+    ``rows[i]`` serves draw ``i``.  The last CDF value is never compared,
+    so a total that rounds below 1 still yields at most d-1.
 
     With ``tails``, returns ``(states, tail_counts)``: ``tail_counts[x]`` is
     the number of draws in state x or above, a tuple of d Python ints read
     off the same comparison (``tail_counts[0]`` is the number of draws, and
     row x-1 of the comparison holds the draws above threshold F(x-1))."""
-    inner = cumulative[..., :-1].T
-    thresholds = inner[:, None] if rows is None else inner.take(rows, axis=1)
-    compared = thresholds < u
+    compared = (thresholds if rows is None else thresholds.take(rows, axis=1)) < u
     if len(compared) == 0:
         states = np.zeros(u.size, dtype=np.int64)
         return (states, (u.size,)) if tails else states
@@ -507,6 +527,19 @@ def _categorical(
         states += above
         counted.append(int(np.count_nonzero(above)))
     return (states, tuple(counted)) if tails else states
+
+
+def _categorical(
+    cumulative: np.ndarray,
+    u: np.ndarray,
+    rows: Optional[np.ndarray] = None,
+    tails: bool = False,
+):
+    """``_categorical_thresholds`` on CDFs: ``cumulative`` is one CDF (d,)
+    shared by all draws, or a table (m, d) whose row ``rows[i]`` serves draw
+    ``i``; its first d-1 columns are the thresholds."""
+    inner = cumulative[..., :-1].T
+    return _categorical_thresholds(inner if rows is not None else inner[:, None], u, rows, tails)
 
 
 def _chain_path(cum0: np.ndarray, cum_rows: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -532,11 +565,13 @@ def _kernel_rows_raw(
     """Rows of the mean-field kernel, (..., d, d): every row is ``phi`` for
     the multinomial kernel, and row x is ``G(x) M(x, .) + (1 - G(x)) phi(.)``
     for the transport kernel, which keeps a particle with probability G(x),
-    so every potential value must be <= 1.  The rows are always a
-    materialized contiguous array: matrix products over a stride-0 view leave
-    BLAS and sum in another order."""
+    so every potential value must be <= 1; any other ``choice`` is a
+    ``ValueError``.  The rows are always a materialized contiguous array:
+    matrix products over a stride-0 view leave BLAS and sum in another
+    order."""
+    transport = _transport(choice)
     phi = _phi_raw(mu_w, g_v, m_r)
-    if choice is KernelChoice.MULTINOMIAL:
+    if not transport:
         return phi[..., None, :].repeat(m_r.shape[-1], axis=-2)
     if g_v.max() > 1.0:
         raise InvalidModel(

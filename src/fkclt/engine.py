@@ -2,32 +2,36 @@
 
 Each particle moves independently, conditionally on the previous
 generation, by a draw from its own kernel row evaluated at the current
-empirical measure.  Categorical draws go through ``core._categorical``
+empirical measure.  Categorical draws go through
+``core._categorical_thresholds`` (the sampler behind ``core._categorical``)
 with one uniform per draw.  A run returns only what its callers read
 (``RunRecord``): the seed, the replicate index, and the log
 normalizing-constant estimate, raw and normalized by the exact value.
 
-Validated at the public edges, raw inside: ``ParticleSystem(...)`` and
-``init_particles`` check the states, and ``step`` checks that system and
-model share ``d``.  The successor ``step`` builds is not checked again,
-since ``_categorical`` draws int64 states in [0, d-1].
+Validated at the public edges, raw inside: ``ParticleSystem(...)`` checks
+the states, ``run`` and ``step`` reject a kernel choice that is neither
+``KernelChoice`` member, and ``step`` checks that system and model share
+``d``.  The systems ``init_particles`` and ``step`` build are not checked
+again, since the draw gives int64 states in [0, d-1].
 
 The kernel rows depend on the particles only through the state counts m,
 since the empirical measure is m/N.  A system carries its counts as tail
-counts (``ParticleSystem.tails``): the constructor counts its states once,
-and each successor takes them from its own draw, since the comparison that
-``_categorical`` draws by also counts the draws above each CDF value.  So
-no step recounts the particles.  ``step`` asks its ``FKStep`` for the
-generation's CDF table by (kernel, tail counts) (``FKStep.sampling_table``),
-which builds a table from ``core._kernel_rows_raw``, the one row builder
-that the exact layer uses too, and keeps it, up to
-``core.SAMPLING_TABLES_MAX`` per step.  That memo is the only per-step
-cache; a kept table equals a rebuilt one bit for bit.  ``run``'s potential
-mean is still summed over the particle array, in particle order.
+counts (``ParticleSystem.tails``): ``init_particles`` and every successor
+take them from their own draw, since the comparison the draw makes also
+counts the draws above each threshold, and the public constructor counts
+its states once.  So no step recounts the particles.  ``step`` asks its
+``FKStep`` for the generation's comparison thresholds by (transport?, tail
+counts) (``FKStep.sampling_table``), which builds them from
+``core._kernel_rows_raw``, the one row builder that the exact layer uses
+too, and keeps them, up to ``core.SAMPLING_TABLES_MAX`` per step, in the
+layout the draw compares against.  That memo is the only per-step cache; a
+kept table equals a rebuilt one bit for bit.  ``run``'s potential mean is
+still summed over the particle array, in particle order.
 
 ``run`` calls ``step`` once per generation and each step asks its stream
 for N uniforms, so the fixed cost of those calls is paid n times per
-replicate; ``RngStream`` serves them from a bounded read-ahead block, and
+replicate; ``RngStream`` serves them from a bounded read-ahead block, whose
+first block ``run`` sizes to the N(n+1) uniforms the replicate uses, and
 ``ParticleSystem`` has slots.
 """
 
@@ -47,11 +51,12 @@ from .core import (
     InvalidModel,
     KernelChoice,
     ProbMeasure,
-    _categorical,
+    _categorical_thresholds,
     _counts,
     _generator,
     _indices,
     _phi_raw,
+    _transport,
     as_values,
 )
 
@@ -77,9 +82,7 @@ def derive_seed(master_seed: int, index: int) -> int:
     return _mix64((master_seed + (index + 1) * _SPLITMIX_GAMMA) & _MASK64)
 
 
-# Doubles a stream draws ahead of its requests: 2**13 doubles is 64 KB.  A
-# clt replicate at n = N = 64 draws 64 * 65 uniforms, so one block serves
-# its whole run.
+# Most doubles a stream draws ahead of its requests: 2**13 doubles is 64 KB.
 READ_AHEAD = 1 << 13
 
 _NO_BLOCK = np.empty(0)
@@ -90,23 +93,29 @@ class RngStream:
     """Deterministic uniform stream (PCG64) with a draw-position counter.
 
     ``uniforms(k)`` serves the next k uniforms of the stream from a
-    read-ahead block of ``READ_AHEAD`` doubles drawn straight from the
-    generator, so many small requests pay one generator call.  PCG64's
-    ``random(k)`` is prefix-consistent, so the served values are those
-    one ``random(position)`` call would give, whatever the request sizes.
-    A request that runs past the block takes what is left of it, then
-    fresh draws: one new block, or the rest of the request when that is at
-    least a block, which is not kept.  Served arrays are read-only views;
-    ``position`` counts the uniforms served, not those drawn ahead."""
+    read-ahead block drawn straight from the generator, so many small
+    requests pay one generator call.  The first block holds
+    ``min(first_block, READ_AHEAD)`` doubles, every later one
+    ``READ_AHEAD``: a caller that knows how many uniforms it will ask for
+    passes that count, so a stream that serves at most ``READ_AHEAD`` of
+    them draws exactly what it serves (``run`` passes N(n+1)).  PCG64's
+    ``random(k)`` is prefix-consistent, so the served values are those one
+    ``random(position)`` call would give, whatever the request and block
+    sizes.  A request that runs past the block takes what is left of it,
+    then fresh draws: one new block, or the rest of the request when that
+    is at least a block, which is not kept.  Served arrays are read-only
+    views; ``position`` counts the uniforms served, not those drawn
+    ahead."""
 
-    __slots__ = ("seed", "position", "_gen", "_block", "_next")
+    __slots__ = ("seed", "position", "_gen", "_block", "_next", "_ahead")
 
-    def __init__(self, seed: int):
+    def __init__(self, seed: int, first_block: int = READ_AHEAD):
         self.seed = int(seed) & _MASK64
         self.position = 0
         self._gen = _generator(self.seed)
         self._block = _NO_BLOCK
         self._next = 0
+        self._ahead = min(first_block, READ_AHEAD)
 
     def uniforms(self, k: int) -> np.ndarray:
         self.position += k
@@ -114,10 +123,11 @@ class RngStream:
         block = self._block
         if stop > block.size:
             left = block[start:]
-            fresh = self._gen.random(max(k, READ_AHEAD) - left.size)
+            ahead, self._ahead = self._ahead, READ_AHEAD
+            fresh = self._gen.random(max(k, ahead) - left.size)
             block = np.concatenate((left, fresh)) if left.size else fresh
             block.setflags(write=False)
-            if k >= READ_AHEAD:
+            if k >= ahead:
                 self._block, self._next = _NO_BLOCK, 0
                 return block
             self._block, start, stop = block, 0, k
@@ -131,8 +141,9 @@ class ParticleSystem:
 
     ``tails`` carries the state counts as tail counts: ``tails[x]`` is the
     number of particles in state x or above, a tuple of d Python ints with
-    ``tails[0] == N``.  The constructor counts the states once; a successor
-    generation gets them from its own draw."""
+    ``tails[0] == N``.  The constructor counts the states once; the
+    systems of ``init_particles`` and ``step`` get them from their own
+    draw."""
 
     states: np.ndarray
     step: int
@@ -146,18 +157,6 @@ class ParticleSystem:
         self.states = states
         counts = np.bincount(states, minlength=self.d).tolist()
         self.tails = tuple(accumulate(reversed(counts)))[::-1]
-
-    @classmethod
-    def _checked(
-        cls, states: np.ndarray, tails: tuple, step: int, stream: RngStream, d: int
-    ) -> "ParticleSystem":
-        """Wrap the states and tail counts of a successor generation without
-        checking them again: ``_categorical`` draws int64 states in [0, d-1]
-        by construction and counts them from the same comparison."""
-        out = object.__new__(cls)
-        states.setflags(write=False)
-        out.states, out.tails, out.step, out.stream, out.d = states, tails, step, stream, d
-        return out
 
     @property
     def N(self) -> int:
@@ -187,13 +186,26 @@ class RunRecord:
         return math.exp(self.log_gamma_bar)
 
 
-def init_particles(model: FKModel, N: int, seed: int) -> ParticleSystem:
-    """Draw N independent particles from the initial law."""
+def init_particles(
+    model: FKModel, N: int, seed: int, steps: Optional[int] = None
+) -> ParticleSystem:
+    """Draw N independent particles from the initial law.
+
+    ``steps``, when given, is the number of steps the system will take: its
+    stream then draws the N(steps+1) uniforms of the whole run in its first
+    block, up to ``READ_AHEAD``.  The tail counts come from the draw itself,
+    as a successor's do."""
     if N < 1:
         raise ValueError(f"particle count must be >= 1, got {N}")
-    stream = RngStream(seed)
-    states = _categorical(np.cumsum(model.eta0.weights), stream.uniforms(N))
-    return ParticleSystem(states, 0, stream, model.d)
+    stream = RngStream(seed, READ_AHEAD if steps is None else N * (steps + 1))
+    thresholds = np.cumsum(model.eta0.weights)[:-1, None]
+    states, tails = _categorical_thresholds(thresholds, stream.uniforms(N), None, True)
+    states.setflags(write=False)
+    system = object.__new__(ParticleSystem)
+    system.states, system.tails, system.step, system.stream, system.d = (
+        states, tails, 0, stream, model.d
+    )
+    return system
 
 
 def step(system: ParticleSystem, model: FKModel, choice: KernelChoice) -> ParticleSystem:
@@ -201,15 +213,30 @@ def step(system: ParticleSystem, model: FKModel, choice: KernelChoice) -> Partic
 
     All N particles move simultaneously given the previous generation: the
     empirical measure is frozen while the rows are built, then every
-    particle draws once from its own row.
+    particle draws once from its own row.  A ``choice`` that is neither
+    kernel is a ``ValueError``.
     """
     if system.d != model.d:
         raise DimensionMismatch("system and model dimensions differ")
     states = system.states
-    cumulative = model.step(system.step).sampling_table(choice, system.tails)
-    rows = None if choice is KernelChoice.MULTINOMIAL else states
-    drawn, tails = _categorical(cumulative, system.stream.uniforms(states.size), rows, tails=True)
-    return ParticleSystem._checked(drawn, tails, system.step + 1, system.stream, system.d)
+    if choice is KernelChoice.MULTINOMIAL:
+        rows = None
+    elif choice is KernelChoice.TRANSPORT:
+        rows = states
+    else:
+        _transport(choice)  # neither kernel: raises
+    thresholds = model.step(system.step).sampling_table(rows is not None, system.tails)
+    drawn, tails = _categorical_thresholds(
+        thresholds, system.stream.uniforms(states.size), rows, True
+    )
+    # The successor is built here, unchecked: the draw gives int64 states in
+    # [0, d-1] by construction and counts them from the same comparison.
+    drawn.setflags(write=False)
+    out = object.__new__(ParticleSystem)
+    out.states, out.tails, out.step, out.stream, out.d = (
+        drawn, tails, system.step + 1, system.stream, system.d
+    )
+    return out
 
 
 def run(
@@ -230,7 +257,8 @@ def run(
     """
     if n < 0:
         raise ValueError(f"step count must be >= 0, got {n}")
-    system = init_particles(model, N, seed)
+    _transport(choice)
+    system = init_particles(model, N, seed, n)
     log_gamma = 0.0
     for p in range(n):
         # The sum and divide that np.mean does, without its wrapper; the

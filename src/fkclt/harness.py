@@ -22,7 +22,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .core import FKModel, KernelChoice
+from .core import FKModel, KernelChoice, _transport
 from .engine import derive_seed, run
 from .oracle import propagate, v_n
 
@@ -57,6 +57,7 @@ class ExperimentConfig:
             raise ValueError("n and N must be >= 1")
         if self.replicates < 2:
             raise ValueError("need at least 2 replicates")
+        _transport(self.choice)
 
 
 @dataclass(frozen=True)

@@ -56,6 +56,7 @@ from .core import (
     _check_same_d,
     _cov_raw,
     _phi_raw,
+    _transport,
 )
 
 FIXED_POINT_TOL = 1e-13
@@ -337,6 +338,7 @@ def v_n(model: FKModel, choice: KernelChoice, n: int) -> float:
     """
     if n < 0:
         raise ValueError(f"step count must be >= 0, got {n}")
+    _transport(choice)
     if n == 0:
         return 0.0
     etas = _kept_flow(model, n)[0]
@@ -427,6 +429,7 @@ def sigma2_homogeneous(model: FKModel, choice: KernelChoice) -> float:
 
 def spectral_pair(model: FKModel, choice: KernelChoice) -> SpectralPair:
     """Spectral pair with the variance rate for ``choice`` filled in."""
+    _transport(choice)
     pair = eigen_h_zeta(model)
     step = model.step(0)
     sigma2 = cov_operator(choice, pair.eta_inf, step.G, step.M, pair.h, pair.h)
@@ -513,6 +516,7 @@ def oracle_report(
     homogeneous models it adds the spectral pair, the variance-rate table
     and the contraction diagnostics.
     """
+    _transport(choice)
     sol = propagate(model, n)
     report = {
         "schema": 1,

@@ -64,6 +64,7 @@ from .core import (
     _frozen,
     _generator,
     _indices,
+    _transport,
 )
 from .oracle import _limit_function, _ordered_products
 
@@ -359,7 +360,8 @@ def c_of_y(
     ``WindowTooShort`` is checked first.  On the path ``sigma2_env``
     sampled, a read with its chain, kernel and depth is an index into the
     values it kept, which have the bits of a read on its own; any other
-    read reduces the position alone.  A value that is not finite raises
+    read reduces the position alone, and a ``choice`` that is neither
+    kernel is then a ``ValueError``.  A value that is not finite raises
     ``InvalidModel``.
     """
     if depth < 1:
@@ -367,8 +369,9 @@ def c_of_y(
     y.window(position - 1 - depth, position + depth - 1)
     kept = y._kept
     if kept is not None and kept[0] is chain and kept[1] is choice and kept[2] == depth:
-        value = float(kept[3][position - 1])
+        value = float(kept[3][position - 1])  # kept under a choice sigma2_env checked
     else:
+        _transport(choice)
         value = float(_contributions(chain, choice, y, position, position, depth)[0])
     if not math.isfinite(value):
         raise InvalidModel(f"variance contribution at position {position} is {value!r}")
@@ -399,6 +402,7 @@ def sigma2_env(
         raise ValueError(f"horizon must be >= 100, got {horizon}")
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
+    _transport(choice)
     path = sample_env_path(chain, past=depth, horizon=horizon + depth - 1, seed=seed)
     size = _block_size(chain.state_dim, depth)
     with np.errstate(all="ignore"):

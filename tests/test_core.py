@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import fkclt as fk
+import fkclt.oracle
 from fkclt.core import DimensionMismatch, InvalidModel, _categorical, _chain_path, _cov_raw
 
 from conftest import random_model
@@ -459,3 +460,52 @@ class TestChainPath:
         u = np.random.default_rng(4).random(50)
         states = _chain_path(np.array([1.0, 1.0, 1.0]), cum_rows, u)
         assert states.tolist() == [i % 3 for i in range(50)]
+
+
+BAD_CHOICES = ["multinomial", "transport", "bogus", None, 0]
+
+
+class TestKernelChoiceIsChecked:
+    """A kernel choice that is neither ``KernelChoice`` member is a
+    ``ValueError`` at every public edge that takes one; it used to run the
+    transport kernel (or fail on ``.value``)."""
+
+    @pytest.mark.parametrize("bad", BAD_CHOICES)
+    def test_every_edge_rejects_it(self, two_state, env_chain, bad):
+        mu, step0 = two_state.eta0, two_state.step(0)
+        system = fk.init_particles(two_state, 8, seed=1)
+        path = fk.sample_env_path(env_chain, past=3, horizon=10, seed=1)
+        calls = {
+            "run": lambda: fk.run(two_state, 8, 5, bad, 3),
+            "run, no steps": lambda: fk.run(two_state, 8, 0, bad, 3),
+            "step": lambda: fk.step(system, two_state, bad),
+            "v_n": lambda: fk.v_n(two_state, bad, 5),
+            "v_n, no steps": lambda: fk.v_n(two_state, bad, 0),
+            "spectral_pair": lambda: fk.spectral_pair(two_state, bad),
+            "oracle_report": lambda: fkclt.oracle.oracle_report(two_state, 3, bad),
+            "cov_operator": lambda: fk.cov_operator(bad, mu, step0.G, step0.M, G2, G2),
+            "kernel_row": lambda: fk.kernel_row(bad, mu, step0.G, step0.M, 0),
+            "c_of_y": lambda: fk.c_of_y(env_chain, bad, path, 1, 3),
+            "sigma2_env": lambda: fk.sigma2_env(env_chain, bad, 100, 3, seed=1),
+            "ExperimentConfig": lambda: fk.ExperimentConfig(two_state, bad, 5, 8, 10, 1),
+        }
+        for name, call in calls.items():
+            with pytest.raises(ValueError, match="MULTINOMIAL or KernelChoice.TRANSPORT"):
+                call()
+        assert system.stream.position == 8
+
+    def test_a_warm_model_rejects_it(self):
+        # Both kernels' tables are kept for every count vector of N = 1, so
+        # a lookup that took a bad choice for either kernel would succeed.
+        model = fk.homogeneous_model(fk.StochasticKernel(M2), fk.Potential(G2), fk.ProbMeasure([0.5, 0.5]))
+        for seed in range(20):
+            for choice in fk.KernelChoice:
+                fk.run(model, 1, 5, choice, seed)
+        assert len(model.step(0)._tables) == 4
+        system = fk.init_particles(model, 1, seed=3)
+        for bad in BAD_CHOICES:
+            with pytest.raises(ValueError):
+                fk.run(model, 1, 5, bad, seed=3)
+            with pytest.raises(ValueError):
+                fk.step(system, model, bad)
+        assert system.stream.position == 1

@@ -21,7 +21,7 @@ import fkclt.engine
 import fkclt.oracle
 import fkclt.randenv
 from fkclt import models
-from fkclt.core import _categorical, _cov_raw
+from fkclt.core import _categorical_thresholds, _cov_raw
 
 import test_engine
 import test_models
@@ -43,12 +43,30 @@ def late_mean_run(model, N, n, choice, seed, oracle_log_gamma=None, replicate_id
     return fk.RunRecord(seed, replicate_id, log_gamma, log_gamma_bar)
 
 
-def tail_count_one_short(cumulative, u, rows=None, tails=False):
-    """``_categorical`` whose tail count of the top state is one short
-    (held at 0), so the next generation's table reads wrong counts."""
-    states, counted = _categorical(cumulative, u, rows, tails=True)
+def tail_count_one_short(thresholds, u, rows=None, tails=False):
+    """``_categorical_thresholds`` whose tail count of the top state is one
+    short (held at 0), so the next generation's table reads wrong counts."""
+    states, counted = _categorical_thresholds(thresholds, u, rows, tails=True)
     counted = counted[:-1] + (max(counted[-1] - 1, 0),)
     return (states, counted) if tails else states
+
+
+def skip_comparison_row_1(thresholds, u, rows=None, tails=False):
+    """``_categorical_thresholds`` with comparison row 1 left out of the
+    states (the tail counts stay right)."""
+    states, counted = _categorical_thresholds(thresholds, u, rows, tails=True)
+    row1 = thresholds[1] if rows is None else thresholds[1].take(rows)
+    states = states - (row1 < u)
+    return (states, counted) if tails else states
+
+
+def kernel_swap(step):
+    """``engine.step`` run under the other kernel."""
+
+    def swapped(system, model, choice):
+        return step(system, model, TRANS if choice is MULTI else MULTI)
+
+    return swapped
 
 
 def cov_kernel_swap(choice, mu_w, g_v, m_r, v1, v2):
@@ -86,28 +104,44 @@ def test_m1_late_potential_mean(monkeypatch, choice):
 
 def test_tail_count_off_by_one_breaks_the_carried_counts(monkeypatch):
     # Rejected exactly, under both kernels, by the carried-count invariant.
-    monkeypatch.setattr(fkclt.engine, "_categorical", tail_count_one_short)
+    monkeypatch.setattr(fkclt.engine, "_categorical_thresholds", tail_count_one_short)
     with pytest.raises(AssertionError):
         test_engine.TestCarriedCounts().test_counts_after_every_step(2)
 
 
-@pytest.mark.parametrize(
-    "choice",
-    [
-        MULTI,
-        pytest.param(TRANS, marks=pytest.mark.xfail(
-            strict=True, reason="survives every law test under the transport kernel")),
-    ],
-)
+@pytest.mark.parametrize("choice", [MULTI, TRANS])
 def test_tail_count_off_by_one_in_law(monkeypatch, choice):
-    # Later generations draw from the wrong counts.  The tiny-size law at
-    # N = 2, n = 3 rejects that under the multinomial kernel (p = 1.7e-5),
-    # but not under the transport kernel (p = 0.003; at N = 1, n = 3 it is
-    # 1.006e-4 against the 1e-4 threshold).  Only the exact carried-count
-    # test above sees the transport case.
-    monkeypatch.setattr(fkclt.engine, "_categorical", tail_count_one_short)
+    # Every generation draws from a table built on wrong counts.  The
+    # tiny-size law at N = 2, n = 3 sees that under the multinomial kernel
+    # with 2000 samples; under the transport kernel only phi's share of
+    # each row moves, so it takes the law test with 20000 samples.
+    monkeypatch.setattr(fkclt.engine, "_categorical_thresholds", tail_count_one_short)
+    law = test_engine.TestTinySizeLaw()
     with pytest.raises(AssertionError):
-        test_engine.TestTinySizeLaw().test_law_and_unbiasedness(choice, 2, 3)
+        if choice is MULTI:
+            law.test_law_and_unbiasedness(choice, 2, 3)
+        else:
+            law.test_law_with_many_samples(choice)
+
+
+@pytest.mark.parametrize("choice", [MULTI, TRANS])
+def test_skip_comparison_row_1(monkeypatch, choice):
+    # Rejected by the d = 3 marginal laws and the d = 4 joint law.
+    monkeypatch.setattr(fkclt.engine, "_categorical_thresholds", skip_comparison_row_1)
+    assert min(test_engine.TestNextCountLawThreeStates().p_values(choice)) < 1e-6
+    joint = test_engine.TestJointNextCountLawFourStates()
+    assert joint.p_value(joint.next_counts(choice), joint.exact_law(choice)) < 1e-6
+
+
+@pytest.mark.parametrize("choice", [MULTI, TRANS])
+def test_kernel_swap_in_the_engine(monkeypatch, choice):
+    # Rejected by the d = 3 marginal laws and the d = 4 joint law.
+    swapped = kernel_swap(fk.step)
+    monkeypatch.setattr(fk, "step", swapped)
+    monkeypatch.setattr(fkclt.engine, "step", swapped)
+    assert min(test_engine.TestNextCountLawThreeStates().p_values(choice)) < 1e-6
+    joint = test_engine.TestJointNextCountLawFourStates()
+    assert joint.p_value(joint.next_counts(choice), joint.exact_law(choice)) < 1e-6
 
 
 def test_cov_kernel_swap(monkeypatch, two_state):
