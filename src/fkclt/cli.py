@@ -130,6 +130,8 @@ def _load_model_file(path: str) -> dict:
         obj = json.loads(raw)
     except json.JSONDecodeError as exc:
         raise CliError(EXIT_SCHEMA, f"malformed JSON in {path!r}: {exc}") from exc
+    except RecursionError as exc:
+        raise CliError(EXIT_SCHEMA, f"model file {path!r} nests too deeply to parse") from exc
     if not isinstance(obj, dict):
         raise CliError(EXIT_SCHEMA, f"model file {path!r} must hold a JSON object")
     return obj

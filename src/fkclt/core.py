@@ -290,34 +290,27 @@ class FKStep:
         generation from, given the kernel (``transport``, a bool: False for
         the multinomial kernel) and the generation's tail counts:
         ``tails[x]`` is the number of particles in state x or above, a tuple
-        of d Python ints whose first entry is N (what the draw returns with
-        ``tails=True``).  The thresholds are the first d-1 CDF values of each
-        law a particle may draw from, one law per column: the CDF of ``phi``
-        as a (d-1, 1) column for the multinomial kernel, and the CDFs of the
-        d transport rows as a contiguous (d-1, d) table for the transport
-        kernel, column x serving the particles in state x.  The empirical
-        measure is ``counts / N``, where ``counts[x] = tails[x] - tails[x+1]``,
-        so the table is a function of ``(transport, tails)`` and is kept
-        under that key, which hashes no ``Enum``, up to
+        of d Python ints whose first entry is N (what the draw returns next
+        to its states).  The thresholds are the ``_thresholds`` table of the
+        laws a particle may draw from: ``phi``'s (d-1, 1) column for the
+        multinomial kernel, and the d transport rows' (d-1, d) table for the
+        transport kernel, column x serving the particles in state x.  The
+        empirical measure is ``counts / N``, where ``counts[x] = tails[x] -
+        tails[x+1]``, so the table is a function of ``(transport, tails)``
+        and is kept under that key, which hashes no ``Enum``, up to
         ``SAMPLING_TABLES_MAX`` tables; a kept table is the array a rebuild
         would give, bit for bit.  Both kernels' tables come from the rows of
-        ``_kernel_rows_raw``: the multinomial rows all equal ``phi``, so its
-        table is row 0's CDF.  A build that raises (a transport potential
-        above 1, or a CDF that is not finite, as when every reweighted count
-        underflows to 0) keeps nothing, so it raises again on every use."""
+        ``_kernel_rows_raw`` through ``_thresholds``: the multinomial rows
+        all equal ``phi``, so its table is row 0's.  A build that raises (a
+        transport potential above 1, or a CDF that is not finite, as when
+        every reweighted count underflows to 0) keeps nothing, so it raises
+        again on every use."""
         key = (transport, tails)
         table = self._tables.get(key)
         if table is None:
-            counts = _counts(tails)
             choice = KernelChoice.TRANSPORT if transport else KernelChoice.MULTINOMIAL
-            rows = _kernel_rows_raw(choice, counts / tails[0], self.G.values, self.M.rows)
-            cumulative = rows.cumsum(axis=1) if transport else rows[:1].cumsum(axis=1)
-            if not np.isfinite(cumulative).all():
-                raise InvalidModel(
-                    f"sampling table for state counts {counts.tolist()} is not finite"
-                )
-            table = np.ascontiguousarray(cumulative[:, :-1].T)
-            table.flags.writeable = False
+            rows = _kernel_rows_raw(choice, _counts(tails) / tails[0], self.G.values, self.M.rows)
+            table = _thresholds(rows if transport else rows[:1])
             if len(self._tables) < SAMPLING_TABLES_MAX:
                 self._tables[key] = table
         return table
@@ -494,30 +487,40 @@ def _counts(tails: tuple) -> np.ndarray:
     return np.subtract(tails, tails[1:] + (0,))
 
 
+def _thresholds(laws: np.ndarray) -> np.ndarray:
+    """The comparison thresholds of the probability rows ``laws`` (m, d):
+    the first d-1 values of each row's CDF, one law per column, as the
+    contiguous, read-only (d-1, m) table that ``_categorical_thresholds``
+    reads.  The one place that builds that layout.  A CDF value that is not
+    finite, the last one included, raises InvalidModel."""
+    cumulative = laws.cumsum(axis=1)
+    if not np.isfinite(cumulative).all():
+        raise InvalidModel("a sampling law's CDF is not finite")
+    table = np.ascontiguousarray(cumulative[:, :-1].T)
+    table.flags.writeable = False
+    return table
+
+
 def _categorical_thresholds(
-    thresholds: np.ndarray,
-    u: np.ndarray,
-    rows: Optional[np.ndarray] = None,
-    tails: bool = False,
-):
+    thresholds: np.ndarray, u: np.ndarray, rows: Optional[np.ndarray] = None
+) -> tuple:
     """Inverse-CDF draws min{x : F(x) >= u} from comparison thresholds: each
     draw counts the thresholds below its uniform, as one (d-1, k)
     comparison at cost O(k(d-1)); the int64 states are the comparison rows
     added up in one pass, the first row cast and each later row added to
-    it.  ``thresholds`` (d-1, m) holds the first d-1 values of m
-    nondecreasing CDFs over d states, one per column: with ``rows`` None,
-    m = 1 and every draw compares against the one column; otherwise column
-    ``rows[i]`` serves draw ``i``.  The last CDF value is never compared,
-    so a total that rounds below 1 still yields at most d-1.
+    it.  ``thresholds`` (d-1, m) is a ``_thresholds`` table of m laws over
+    d states: with ``rows`` None, m = 1 and every draw compares against the
+    one column; otherwise column ``rows[i]`` serves draw ``i``.  The last
+    CDF value is never compared, so a total that rounds below 1 still
+    yields at most d-1.
 
-    With ``tails``, returns ``(states, tail_counts)``: ``tail_counts[x]`` is
-    the number of draws in state x or above, a tuple of d Python ints read
-    off the same comparison (``tail_counts[0]`` is the number of draws, and
-    row x-1 of the comparison holds the draws above threshold F(x-1))."""
+    Returns ``(states, tail_counts)``: ``tail_counts[x]`` is the number of
+    draws in state x or above, a tuple of d Python ints read off the same
+    comparison (``tail_counts[0]`` is the number of draws, and row x-1 of
+    the comparison holds the draws above threshold F(x-1))."""
     compared = (thresholds if rows is None else thresholds.take(rows, axis=1)) < u
     if len(compared) == 0:
-        states = np.zeros(u.size, dtype=np.int64)
-        return (states, (u.size,)) if tails else states
+        return np.zeros(u.size, dtype=np.int64), (u.size,)
     # Rows by index: iterating over a 2-d array costs more per row.
     above = compared[0]
     states = above.astype(np.int64)
@@ -526,35 +529,24 @@ def _categorical_thresholds(
         above = compared[x]
         states += above
         counted.append(int(np.count_nonzero(above)))
-    return (states, tuple(counted)) if tails else states
+    return states, tuple(counted)
 
 
-def _categorical(
-    cumulative: np.ndarray,
-    u: np.ndarray,
-    rows: Optional[np.ndarray] = None,
-    tails: bool = False,
-):
-    """``_categorical_thresholds`` on CDFs: ``cumulative`` is one CDF (d,)
-    shared by all draws, or a table (m, d) whose row ``rows[i]`` serves draw
-    ``i``; its first d-1 columns are the thresholds."""
-    inner = cumulative[..., :-1].T
-    return _categorical_thresholds(inner if rows is not None else inner[:, None], u, rows, tails)
-
-
-def _chain_path(cum0: np.ndarray, cum_rows: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Markov chain states, one per uniform: the first drawn from the CDF
-    ``cum0``, each later one from the CDF row of its predecessor.  Every
-    row's draws for all the uniforms are one ``_categorical`` call, and the
-    path walks those draws: draw i of the row of state s is the state that
-    uniform i gives after s."""
+def _chain_path(law0: np.ndarray, moves: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Markov chain states, one per uniform: the first drawn from the law
+    ``law0`` (d,), each later one from the row of ``moves`` (d, d) at its
+    predecessor.  Every row's draws for all the uniforms are one
+    ``_categorical_thresholds`` call on its column of the moves' table, and
+    the path walks those draws: draw i of the row of state s is the state
+    that uniform i gives after s."""
     if u.size == 0:
         return np.empty(0, dtype=np.int64)
-    moves = [_categorical(cdf, u).tolist() for cdf in cum_rows]
-    state = int(_categorical(cum0, u[:1])[0])
+    table = _thresholds(moves)
+    drawn = [_categorical_thresholds(column[:, None], u)[0].tolist() for column in table.T]
+    state = int(_categorical_thresholds(_thresholds(law0[None]), u[:1])[0][0])
     states = [state]
     for i in range(1, u.size):
-        state = moves[state][i]
+        state = drawn[state][i]
         states.append(state)
     return np.array(states, dtype=np.int64)
 

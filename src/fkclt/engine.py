@@ -3,10 +3,10 @@
 Each particle moves independently, conditionally on the previous
 generation, by a draw from its own kernel row evaluated at the current
 empirical measure.  Categorical draws go through
-``core._categorical_thresholds`` (the sampler behind ``core._categorical``)
-with one uniform per draw.  A run returns only what its callers read
-(``RunRecord``): the seed, the replicate index, and the log
-normalizing-constant estimate, raw and normalized by the exact value.
+``core._categorical_thresholds``, the one sampler, with one uniform per
+draw, on tables that ``core._thresholds`` builds.  A run returns only what
+its callers read (``RunRecord``): the seed, the replicate index, and the
+log normalizing-constant estimate, raw and normalized by the exact value.
 
 Validated at the public edges, raw inside: ``ParticleSystem(...)`` checks
 the states, ``run`` and ``step`` reject a kernel choice that is neither
@@ -56,6 +56,7 @@ from .core import (
     _generator,
     _indices,
     _phi_raw,
+    _thresholds,
     _transport,
     as_values,
 )
@@ -198,8 +199,8 @@ def init_particles(
     if N < 1:
         raise ValueError(f"particle count must be >= 1, got {N}")
     stream = RngStream(seed, READ_AHEAD if steps is None else N * (steps + 1))
-    thresholds = np.cumsum(model.eta0.weights)[:-1, None]
-    states, tails = _categorical_thresholds(thresholds, stream.uniforms(N), None, True)
+    thresholds = _thresholds(model.eta0.weights[None])
+    states, tails = _categorical_thresholds(thresholds, stream.uniforms(N))
     states.setflags(write=False)
     system = object.__new__(ParticleSystem)
     system.states, system.tails, system.step, system.stream, system.d = (
@@ -226,9 +227,7 @@ def step(system: ParticleSystem, model: FKModel, choice: KernelChoice) -> Partic
     else:
         _transport(choice)  # neither kernel: raises
     thresholds = model.step(system.step).sampling_table(rows is not None, system.tails)
-    drawn, tails = _categorical_thresholds(
-        thresholds, system.stream.uniforms(states.size), rows, True
-    )
+    drawn, tails = _categorical_thresholds(thresholds, system.stream.uniforms(states.size), rows)
     # The successor is built here, unchecked: the draw gives int64 states in
     # [0, d-1] by construction and counts them from the same comparison.
     drawn.setflags(write=False)

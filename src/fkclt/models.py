@@ -30,11 +30,12 @@ from .core import (
     Potential,
     ProbMeasure,
     StochasticKernel,
-    _categorical,
+    _categorical_thresholds,
     _chain_path,
     _generator,
     _indices,
     _stochastic,
+    _thresholds,
     homogeneous_model,
     explicit_model,
     total_variation,
@@ -88,22 +89,22 @@ def survival_mc_table(model: AbsorptionModel, n: int, trials: int, seed: int) ->
         raise ValueError(f"need at least 100 trials, got {trials}")
     if n < 0:
         raise ValueError(f"step count must be >= 0, got {n}")
-    cum0 = np.cumsum(model.eta0.weights)
-    cum_rows = np.cumsum(model.M.rows, axis=1)
+    start = _thresholds(model.eta0.weights[None])
+    moves = _thresholds(model.M.rows)
     survivors = np.zeros(n + 1, dtype=np.int64)
     survivors[0] = trials
     for first in range(0, trials, SURVIVAL_CHUNK):
         size = min(SURVIVAL_CHUNK, trials - first)
         gen = _generator(seed)
         gen.bit_generator.advance(first)
-        states = _categorical(cum0, gen.random(size))
+        states = _categorical_thresholds(start, gen.random(size))[0]
         live = np.arange(size)
         for horizon in range(1, n + 1):
             gen.bit_generator.advance(trials - size)
             kept = gen.random(size)[live] < model.G.values[states]
             live, states = live[kept], states[kept]
             gen.bit_generator.advance(trials - size)
-            states = _categorical(cum_rows, gen.random(size)[live], states)
+            states = _categorical_thresholds(moves, gen.random(size)[live], states)[0]
             survivors[horizon] += live.size
             if not live.size:
                 break
@@ -160,12 +161,8 @@ def hmm_generate(params: HmmParams, length: int, seed: int) -> tuple:
     if length < 0:
         raise ValueError(f"length must be >= 0, got {length}")
     u = _generator(seed).random(2 * length + 1)
-    hidden = _chain_path(
-        np.cumsum(params.initial.weights),
-        np.cumsum(params.transition.rows, axis=1),
-        u[0 : 2 * length : 2],
-    )
-    observed = _categorical(np.cumsum(params.emission, axis=1), u[1::2], hidden)
+    hidden = _chain_path(params.initial.weights, params.transition.rows, u[0 : 2 * length : 2])
+    observed = _categorical_thresholds(_thresholds(params.emission), u[1::2], hidden)[0]
     return hidden, observed
 
 

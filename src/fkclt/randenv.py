@@ -197,11 +197,8 @@ def sample_env_path(chain: EnvironmentChain, past: int, horizon: int, seed: int)
     """Sample a path over [-past, horizon]: stationary start, then forward moves."""
     if past < 0 or horizon < 0:
         raise ValueError("past and horizon must be >= 0")
-    states = _chain_path(
-        np.cumsum(chain.stationary.weights),
-        np.cumsum(chain.transition.rows, axis=1),
-        _generator(seed).random(past + horizon + 1),
-    )
+    u = _generator(seed).random(past + horizon + 1)
+    states = _chain_path(chain.stationary.weights, chain.transition.rows, u)
     return EnvPath(states, -past)
 
 

@@ -48,6 +48,14 @@ def hmm_params():
     )
 
 
+def inverse_cdf(cdfs, u):
+    """Draw i by compare-and-sum on its CDF row ``cdfs[i]`` (one row (1, d)
+    serves every draw): the number of CDF values below u[i], clipped to
+    d-1.  It shares no code with the package's sampler, so the suite's
+    reference loops check that sampler instead of sharing it."""
+    return np.minimum((cdfs < u[:, None]).sum(axis=1), cdfs.shape[1] - 1)
+
+
 def random_model(rng: np.random.Generator, d: int, transport_safe: bool = False) -> fk.FKModel:
     """Random homogeneous model; potentials capped at 1 when transport_safe."""
     M = fk.StochasticKernel(rng.dirichlet(np.ones(d), size=d))

@@ -183,6 +183,14 @@ class TestParseErrors:
         path.write_text("not json at all")
         assert main(["oracle", "--config", str(path), "--n", "2"]) == 3
 
+    def test_deeply_nested_json_exit_3(self, tmp_path, capsys):
+        # The JSON parser gives up on this nesting with a RecursionError.
+        path = tmp_path / "deep.json"
+        path.write_text('{"schema": 1, "kind": "homogeneous", "M": ' + "[" * 200_000)
+        assert main(["oracle", "--config", str(path), "--n", "2"]) == 3
+        err = capsys.readouterr().err
+        assert "nests too deeply" in err and "Traceback" not in err
+
     def test_missing_file_exit_4(self, tmp_path):
         assert main(["oracle", "--config", str(tmp_path / "nope.json"), "--n", "2"]) == 4
 

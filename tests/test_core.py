@@ -5,7 +5,14 @@ import pytest
 
 import fkclt as fk
 import fkclt.oracle
-from fkclt.core import DimensionMismatch, InvalidModel, _categorical, _chain_path, _cov_raw
+from fkclt.core import (
+    DimensionMismatch,
+    InvalidModel,
+    _categorical_thresholds,
+    _chain_path,
+    _cov_raw,
+    _thresholds,
+)
 
 from conftest import random_model
 
@@ -341,47 +348,61 @@ def test_oscillation():
     assert fk.FunctionVector([2.0, 2.0]).oscillation == 0.0
 
 
+def draw(laws, u, rows=None):
+    """``(states, tail_counts)`` from the sampler on the ``_thresholds``
+    table of ``laws``: one law (d,) shared by all draws, or a table (m, d)
+    whose row ``rows[i]`` serves draw i."""
+    return _categorical_thresholds(_thresholds(np.atleast_2d(laws)), u, rows)
+
+
+def searched_cdf(cdf, u):
+    """Independent reference draws from one CDF: a binary search, clipped
+    to d-1."""
+    return np.minimum(np.searchsorted(cdf, u, side="left"), cdf.size - 1)
+
+
 class TestCategorical:
     def test_uniform_on_a_step_takes_that_state(self):
-        cum = np.array([0.25, 0.5, 1.0])
+        law = np.array([0.25, 0.25, 0.5])
         u = np.array([0.25, 0.5, 1.0, 0.0])
-        assert _categorical(cum, u).tolist() == [0, 1, 2, 0]
-        table = np.vstack([cum, [0.5, 0.75, 1.0]])
+        assert draw(law, u)[0].tolist() == [0, 1, 2, 0]
+        laws = np.vstack([law, [0.5, 0.25, 0.25]])
         rows = np.array([0, 0, 1, 1])
-        assert _categorical(table, np.array([0.25, 0.5, 0.5, 0.75]), rows).tolist() == [0, 1, 0, 1]
+        assert draw(laws, np.array([0.25, 0.5, 0.5, 0.75]), rows)[0].tolist() == [0, 1, 0, 1]
 
     def test_uniform_above_a_short_last_cumulative_is_clipped(self):
-        cum = np.cumsum(np.full(10, 0.1))
-        assert cum[-1] < 1.0
-        u = np.array([np.nextafter(cum[-1], 1.0)])
-        assert _categorical(cum, u).tolist() == [9]
-        assert _categorical(np.vstack([cum, cum]), u, np.array([1])).tolist() == [9]
+        law = np.full(10, 0.1)
+        total = np.cumsum(law)[-1]
+        assert total < 1.0
+        u = np.array([np.nextafter(total, 1.0)])
+        assert draw(law, u)[0].tolist() == [9]
+        assert draw(np.vstack([law, law]), u, np.array([1]))[0].tolist() == [9]
 
     @staticmethod
-    def _check_against_references(table, u, rows):
-        """The sampler against reference forms: a binary search on one CDF
-        and a compare-and-sum along gathered rows, each clipped to d-1; and
-        the table form row by row against the single-CDF form."""
-        d = table.shape[1]
-        single = _categorical(table[0], u)
-        expected = np.minimum(np.searchsorted(table[0], u, side="left"), d - 1)
-        assert single.dtype == np.int64 and np.array_equal(single, expected)
-        drawn = _categorical(table, u, rows)
-        expected = np.minimum((table[rows] < u[:, None]).sum(axis=1), d - 1)
+    def _check_against_references(laws, u, rows):
+        """The sampler against independent inverse CDFs: a binary search on
+        one CDF and a compare-and-sum along gathered CDF rows, each clipped
+        to d-1; and the table form row by row against the one-law form."""
+        d = laws.shape[1]
+        cdfs = np.cumsum(laws, axis=1)
+        single = draw(laws[0], u)[0]
+        assert single.dtype == np.int64 and np.array_equal(single, searched_cdf(cdfs[0], u))
+        drawn = draw(laws, u, rows)[0]
+        expected = np.minimum((cdfs[rows] < u[:, None]).sum(axis=1), d - 1)
         assert drawn.dtype == np.int64 and np.array_equal(drawn, expected)
-        per_row = [_categorical(table[r], u[i : i + 1])[0] for i, r in enumerate(rows)]
+        per_row = [draw(laws[r], u[i : i + 1])[0][0] for i, r in enumerate(rows)]
         assert np.array_equal(drawn, np.array(per_row, dtype=np.int64))
 
     def test_agrees_with_searchsorted_and_compare_and_sum(self):
         gen = np.random.default_rng(2718)
         for d in (1, 2, 3, 8, 16, 64):
-            table = np.cumsum(gen.dirichlet(np.ones(d), size=d), axis=1)
+            laws = gen.dirichlet(np.ones(d), size=d)
             u = gen.random(5000)
             rows = gen.integers(0, d, size=u.size)
-            self._check_against_references(table, u, rows)
+            self._check_against_references(laws, u, rows)
 
     def test_zero_probability_states_and_uniforms_on_the_steps(self):
-        weights = np.array(
+        laws = np.array(
             [
                 [0.0, 0.25, 0.0, 0.0, 0.5, 0.25, 0.0, 0.0],  # leading, interior and tail zeros
                 [0.0, 0.0, 0.125, 0.375, 0.0, 0.5, 0.0, 0.0],
@@ -389,56 +410,75 @@ class TestCategorical:
                 [1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
             ]
         )
-        table = np.cumsum(weights, axis=1)
-        assert table[2, -1] < 1.0
-        steps = np.unique(np.concatenate([table.ravel(), [0.0, 1.0]]))
+        cdfs = np.cumsum(laws, axis=1)
+        assert cdfs[2, -1] < 1.0
+        steps = np.unique(np.concatenate([cdfs.ravel(), [0.0, 1.0]]))
         u = np.concatenate([steps, np.nextafter(steps, -1.0), np.nextafter(steps, 2.0)])
         u = u[(u >= 0.0) & (u <= 1.0)]
-        rows = np.arange(u.size) % table.shape[0]
-        for r in range(table.shape[0]):
-            self._check_against_references(np.roll(table, -r, axis=0), u, rows)
+        rows = np.arange(u.size) % laws.shape[0]
+        for r in range(laws.shape[0]):
+            self._check_against_references(np.roll(laws, -r, axis=0), u, rows)
         # A uniform on a repeated cumulative takes the first state that
         # reaches it, never a later state of probability zero.
-        drawn = _categorical(table[0], np.array([0.25, 0.75, 1.0]))
-        assert drawn.tolist() == [1, 4, 5]
+        assert draw(laws[0], np.array([0.25, 0.75, 1.0]))[0].tolist() == [1, 4, 5]
 
     def test_empty_draw(self):
         for d in (1, 2, 5):
-            table = np.cumsum(np.full((3, d), 1.0 / d), axis=1)
+            laws = np.full((3, d), 1.0 / d)
             u = np.empty(0)
             rows = np.empty(0, dtype=np.int64)
-            assert _categorical(table[0], u).shape == (0,)
-            assert _categorical(table, u, rows).shape == (0,)
-            self._check_against_references(table, u, rows)
+            assert draw(laws[0], u)[0].shape == (0,)
+            assert draw(laws, u, rows)[0].shape == (0,)
+            self._check_against_references(laws, u, rows)
 
     def test_tail_counts_count_the_draws(self):
         # Zero-probability states and uniforms on the steps, as above: the
         # comparison rows nest only because each CDF is nondecreasing.
         gen = np.random.default_rng(1618)
-        weights = np.array([[0.0, 0.25, 0.0, 0.5, 0.25], [0.3, 0.3, 0.3, 0.1, 0.0]])
-        cases = [(np.cumsum(weights, axis=1), np.concatenate([[0.0, 0.25, 0.3, 0.75, 1.0], gen.random(200)]))]
+        laws = np.array([[0.0, 0.25, 0.0, 0.5, 0.25], [0.3, 0.3, 0.3, 0.1, 0.0]])
+        cases = [(laws, np.concatenate([[0.0, 0.25, 0.3, 0.75, 1.0], gen.random(200)]))]
         for d in (1, 2, 5):
-            cases.append((np.cumsum(gen.dirichlet(np.ones(d), size=3), axis=1), gen.random(300)))
-            cases.append((np.cumsum(np.full((3, d), 1.0 / d), axis=1), np.empty(0)))
-        for table, u in cases:
-            d = table.shape[1]
-            rows = gen.integers(0, table.shape[0], size=u.size)
-            for args in ((table[0], u), (table, u, rows)):
-                states, tails = _categorical(*args, tails=True)
-                assert np.array_equal(states, _categorical(*args))
+            cases.append((gen.dirichlet(np.ones(d), size=3), gen.random(300)))
+            cases.append((np.full((3, d), 1.0 / d), np.empty(0)))
+        for laws, u in cases:
+            d = laws.shape[1]
+            rows = gen.integers(0, laws.shape[0], size=u.size)
+            for args in ((laws[0], u), (laws, u, rows)):
+                states, tails = draw(*args)
                 counts = np.bincount(states, minlength=d)
                 assert tails == tuple(np.cumsum(counts[::-1])[::-1].tolist())
                 assert all(type(t) is int for t in tails)
 
+    def test_thresholds_layout(self):
+        # The first d-1 CDF values of each law, one law per column, in a
+        # contiguous read-only table; d = 1 leaves no threshold.
+        gen = np.random.default_rng(577)
+        for d in (1, 2, 3, 8):
+            for m in (1, d):
+                laws = gen.dirichlet(np.ones(d), size=m)
+                table = _thresholds(laws)
+                assert table.shape == (d - 1, m) and table.flags.c_contiguous
+                assert not table.flags.writeable
+                assert np.array_equal(table, np.cumsum(laws, axis=1)[:, :-1].T)
 
-def ref_chain_path(cum0, cum_rows, u):
-    """One draw per step: the first from cum0, each later one from the CDF
-    row of its predecessor."""
+    @pytest.mark.parametrize(
+        "laws",
+        [[[0.5, np.nan]], [[0.5, np.inf]], [[np.nan, 0.5, 0.5]], [[0.5, 0.5], [np.inf, 0.0]]],
+    )
+    def test_thresholds_reject_a_cdf_that_is_not_finite(self, laws):
+        # The last CDF value is checked too, though it is never compared.
+        with pytest.raises(InvalidModel, match="not finite"):
+            _thresholds(np.array(laws))
+
+
+def ref_chain_path(law0, moves, u):
+    """One draw per step, each by binary search on its own CDF: the first
+    from law0, each later one from the row of moves at its predecessor."""
     states = np.empty(u.size, dtype=np.int64)
-    cdf = cum0
+    law = law0
     for i in range(u.size):
-        states[i] = _categorical(cdf, u[i : i + 1])[0]
-        cdf = cum_rows[states[i]]
+        states[i] = searched_cdf(np.cumsum(law), u[i])
+        law = moves[states[i]]
     return states
 
 
@@ -447,18 +487,18 @@ class TestChainPath:
     @pytest.mark.parametrize("d", [1, 2, 3, 8])
     def test_matches_the_step_loop(self, d, length):
         gen = np.random.default_rng(31 * d + length)
-        cum0 = np.cumsum(gen.dirichlet(np.ones(d)))
-        cum_rows = np.cumsum(gen.dirichlet(np.ones(d), size=d), axis=1)
+        law0 = gen.dirichlet(np.ones(d))
+        moves = gen.dirichlet(np.ones(d), size=d)
         u = gen.random(length)
-        states = _chain_path(cum0, cum_rows, u)
+        states = _chain_path(law0, moves, u)
         assert states.dtype == np.int64 and states.shape == (length,)
-        assert np.array_equal(states, ref_chain_path(cum0, cum_rows, u))
+        assert np.array_equal(states, ref_chain_path(law0, moves, u))
 
     def test_zero_probability_moves_are_never_taken(self):
         # A deterministic cycle 0 -> 1 -> 2 -> 0 whatever the uniforms.
-        cum_rows = np.cumsum(np.roll(np.eye(3), 1, axis=1), axis=1)
+        moves = np.roll(np.eye(3), 1, axis=1)
         u = np.random.default_rng(4).random(50)
-        states = _chain_path(np.array([1.0, 1.0, 1.0]), cum_rows, u)
+        states = _chain_path(np.array([1.0, 0.0, 0.0]), moves, u)
         assert states.tolist() == [i % 3 for i in range(50)]
 
 

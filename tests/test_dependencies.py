@@ -1,8 +1,10 @@
 """The package imports only the standard library, numpy and itself; scipy
 and the other test tools stay out of ``src/fkclt``.  Of numpy it uses only
 the public modules: the private ones (``numpy._core``, ``numpy.core``,
-``numpy.lib._*``) move between releases.  The suite imports only what
-``pyproject.toml`` declares, so ``pip install .[test]`` can collect it."""
+``numpy.lib._*``) move between releases.  Only ``core`` builds cumulative
+sums, so the threshold layout the sampler reads stays in one module.  The
+suite imports only what ``pyproject.toml`` declares, so
+``pip install .[test]`` can collect it."""
 
 from __future__ import annotations
 
@@ -94,6 +96,41 @@ def test_the_guard_sees_a_private_numpy_module(tmp_path):
         "numpy._core.umath.add",
         "numpy._core",
     }
+
+
+CUMULATIVE = {"cumsum", "cumulative_sum"}
+
+
+def cumsum_calls(path: pathlib.Path) -> list:
+    """Lines of a module's cumulative-sum calls, as a function
+    (``np.cumsum(x)``, ``cumsum(x)``) or as a method (``x.cumsum()``)."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call)
+        and {getattr(node.func, "attr", None), getattr(node.func, "id", None)} & CUMULATIVE
+    )
+
+
+@pytest.mark.parametrize(
+    "path", sorted(set(PACKAGE.glob("*.py")) - {PACKAGE / "core.py"}), ids=lambda p: p.name
+)
+def test_only_core_builds_cdfs(path):
+    assert not cumsum_calls(path), cumsum_calls(path)
+
+
+def test_the_guard_sees_a_cumsum_call(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text(
+        "import numpy as np\n"
+        "from numpy import cumsum\n"
+        "a = np.cumsum([1.0])\n"
+        "b = a.cumsum(axis=0)\n"
+        "c = cumsum(a)\n"
+        "d = np.cumulative_sum(a)\n"
+        "e = np.sum(a)\n"
+    )
+    assert cumsum_calls(module) == [3, 4, 5, 6]
 
 
 def declared_requirements() -> set:

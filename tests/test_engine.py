@@ -15,14 +15,13 @@ import fkclt.engine
 from fkclt.core import (
     SAMPLING_TABLES_MAX,
     InvalidModel,
-    _categorical,
     _generator,
     _kernel_rows_raw,
     _phi_raw,
 )
 from fkclt.engine import READ_AHEAD, derive_seed
 
-from conftest import random_chain, random_explicit_model, random_model
+from conftest import inverse_cdf, random_chain, random_explicit_model, random_model
 
 MULTI = fk.KernelChoice.MULTINOMIAL
 TRANS = fk.KernelChoice.TRANSPORT
@@ -531,10 +530,10 @@ class TestTinySizeLaw:
 
 def reference_run(model, N, n, choice, seed):
     """log gamma_N by the plain loop: np.mean of the potential, a validated
-    ParticleSystem per generation, np.cumsum, and every kernel row built
-    from scratch each generation."""
+    ParticleSystem per generation, np.cumsum, every kernel row built from
+    scratch each generation, and the draws by ``inverse_cdf``."""
     stream = fk.RngStream(seed)
-    states = _categorical(np.cumsum(model.eta0.weights), stream.uniforms(N))
+    states = inverse_cdf(np.cumsum(model.eta0.weights)[None], stream.uniforms(N))
     system = fk.ParticleSystem(states, 0, stream, model.d)
     log_gamma = 0.0
     for p in range(n):
@@ -545,13 +544,13 @@ def reference_run(model, N, n, choice, seed):
         w = mu_w * g
         phi = (w / w.sum()) @ m
         if choice is MULTI:
-            cumulative, rows = np.cumsum(phi), None
+            cdfs = np.cumsum(phi)[None]
         else:
             if g.max() > 1.0:
                 raise InvalidModel("transport kernel needs potential values <= 1")
             kernel = g[:, None] * m + (1.0 - g)[:, None] * phi[None, :]
-            cumulative, rows = np.cumsum(kernel, axis=1), system.states
-        states = _categorical(cumulative, stream.uniforms(N), rows)
+            cdfs = np.cumsum(kernel, axis=1)[system.states]
+        states = inverse_cdf(cdfs, stream.uniforms(N))
         system = fk.ParticleSystem(states, p + 1, stream, model.d)
     return log_gamma
 

@@ -9,9 +9,11 @@ import pytest
 
 import fkclt as fk
 from fkclt import models
-from fkclt.core import InvalidModel, _categorical
+from fkclt.core import InvalidModel
 from fkclt.models import SURVIVAL_CHUNK, hmm_env_chain, hmm_filter
 from fkclt.randenv import EnvPath, eta_inf_env
+
+from conftest import inverse_cdf
 
 MULTI = fk.KernelChoice.MULTINOMIAL
 
@@ -62,15 +64,15 @@ class TestAbsorption:
 
 def ref_survival_table(model, n, trials, seed):
     """The whole-array killed-chain loop: every trial in one array, dead
-    chains still drawn and moved."""
+    chains still drawn and moved by ``inverse_cdf``."""
     gen = np.random.Generator(np.random.PCG64(int(seed) & 0xFFFFFFFFFFFFFFFF))
-    states = _categorical(np.cumsum(model.eta0.weights), gen.random(trials))
+    states = inverse_cdf(np.cumsum(model.eta0.weights)[None], gen.random(trials))
     cum_rows = np.cumsum(model.M.rows, axis=1)
     alive = np.ones(trials, dtype=bool)
     fractions = np.ones(n + 1)
     for horizon in range(1, n + 1):
         alive &= gen.random(trials) < model.G.values[states]
-        states = _categorical(cum_rows, gen.random(trials), states)
+        states = inverse_cdf(cum_rows[states], gen.random(trials))
         fractions[horizon] = alive.mean()
     return fractions
 

@@ -6,11 +6,20 @@ an exact law, a closed form or an independent recomputation, never a test
 that only freezes today's bits.  The named test is run under the mutant
 and must fail.  A mutant that survives is a gap in the suite; it is kept
 here, marked, not dropped.
+
+Equivalent mutants, which no test can reject since they keep the laws or
+the bits, are named here and left out:
+- ``oracle._measure_flow`` without its clip at 0: ``phi = w M`` of a
+  nonnegative ``w`` summing to 1 and a nonnegative ``M`` is already at or
+  above +0.0;
+- the transport rows handed out to the particles by sorted state: the
+  count law and the law of the estimator stay the same.
 """
 
 from __future__ import annotations
 
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -22,6 +31,7 @@ import fkclt.oracle
 import fkclt.randenv
 from fkclt import models
 from fkclt.core import _categorical_thresholds, _cov_raw
+from fkclt.oracle import _KahanSum, _kept_flow, _stack
 
 import test_engine
 import test_models
@@ -43,21 +53,57 @@ def late_mean_run(model, N, n, choice, seed, oracle_log_gamma=None, replicate_id
     return fk.RunRecord(seed, replicate_id, log_gamma, log_gamma_bar)
 
 
-def tail_count_one_short(thresholds, u, rows=None, tails=False):
+def tail_count_one_short(thresholds, u, rows=None):
     """``_categorical_thresholds`` whose tail count of the top state is one
     short (held at 0), so the next generation's table reads wrong counts."""
-    states, counted = _categorical_thresholds(thresholds, u, rows, tails=True)
-    counted = counted[:-1] + (max(counted[-1] - 1, 0),)
-    return (states, counted) if tails else states
+    states, counted = _categorical_thresholds(thresholds, u, rows)
+    return states, counted[:-1] + (max(counted[-1] - 1, 0),)
 
 
-def skip_comparison_row_1(thresholds, u, rows=None, tails=False):
+def skip_comparison_row_1(thresholds, u, rows=None):
     """``_categorical_thresholds`` with comparison row 1 left out of the
     states (the tail counts stay right)."""
-    states, counted = _categorical_thresholds(thresholds, u, rows, tails=True)
+    states, counted = _categorical_thresholds(thresholds, u, rows)
     row1 = thresholds[1] if rows is None else thresholds[1].take(rows)
-    states = states - (row1 < u)
-    return (states, counted) if tails else states
+    return states - (row1 < u), counted
+
+
+def thresholds_one_state_late(laws):
+    """``core._thresholds`` that reads each CDF one state late: values
+    1..d-1 in place of 0..d-2."""
+    table = np.ascontiguousarray(laws.cumsum(axis=1)[:, 1:].T)
+    table.flags.writeable = False
+    return table
+
+
+def eta_for_phi_rows(choice, mu_w, g_v, m_r):
+    """``core._kernel_rows_raw`` with the empirical measure eta in place of
+    Phi(eta): no selection and no mutation in what a particle resamples."""
+    rows = np.repeat(mu_w[None, :], mu_w.size, axis=0)
+    if choice is TRANS:
+        rows = g_v[:, None] * m_r + (1.0 - g_v)[:, None] * rows
+    return rows
+
+
+def v_n_column_one_early(model, choice, n):
+    """``oracle.v_n`` whose covariance term q reads the column at q-1 in
+    place of the column at q."""
+    if n == 0:
+        return 0.0
+    etas = _kept_flow(model, n)[0]
+    G, M = _stack(model, 0, n)
+    ubars = np.empty((n, model.d))
+    u = np.ones(model.d)
+    for q in range(n - 1, -1, -1):
+        u = (G[q][:, None] * M[q]) @ u
+        ubars[q] = u = u / float(etas[q] @ u)
+    acc = _KahanSum()
+    acc.add(float(etas[0] @ (ubars[0] - 1.0) ** 2))
+    if n > 1:
+        cols = ubars[:-1]
+        for term in _cov_raw(choice, etas[: n - 1], G[: n - 1], M[: n - 1], cols, cols).tolist():
+            acc.add(term)
+    return max(acc.value, 0.0)
 
 
 def kernel_swap(step):
@@ -161,3 +207,42 @@ def test_approximate_hmm_environment(monkeypatch, hmm_params):
     assert test_models.word_law_gap(hmm_params, 2) <= 1e-14  # exact up to pairs
     with pytest.raises(AssertionError):
         test_models.TestHmmEnvironment().test_words_have_the_observation_law(hmm_params)
+
+
+@pytest.mark.parametrize("choice", [MULTI, TRANS])
+def test_thresholds_one_state_late(monkeypatch, choice):
+    # Rejected by the d = 3 marginal laws and the d = 4 joint law.
+    for module in (fkclt.core, fkclt.engine):
+        monkeypatch.setattr(module, "_thresholds", thresholds_one_state_late)
+    assert min(test_engine.TestNextCountLawThreeStates().p_values(choice)) < 1e-6
+    joint = test_engine.TestJointNextCountLawFourStates()
+    assert joint.p_value(joint.next_counts(choice), joint.exact_law(choice)) < 1e-6
+
+
+def test_eta_for_phi_in_the_multinomial_rows(monkeypatch):
+    # Rejected by the d = 3 marginal laws and the d = 4 joint law, whose
+    # exact laws build their rows with the unpatched ``_kernel_rows_raw``.
+    monkeypatch.setattr(fkclt.core, "_kernel_rows_raw", eta_for_phi_rows)
+    assert min(test_engine.TestNextCountLawThreeStates().p_values(MULTI)) < 1e-6
+    joint = test_engine.TestJointNextCountLawFourStates()
+    assert joint.p_value(joint.next_counts(MULTI), joint.exact_law(MULTI)) < 1e-6
+
+
+def test_eta_for_phi_in_the_transport_rows(monkeypatch):
+    # A transport row takes phi only with weight 1 - G(x), so the d = 4
+    # joint law (p about 0.006) does not see the mutant and the d = 3
+    # marginal laws only just do (p about 7e-6).  The tiny-size law sees it
+    # at 2000 samples: its potentials reach down to 0.1.  The law runs on a
+    # copy of its model, which keeps none of the tables earlier tests built.
+    monkeypatch.setattr(fkclt.core, "_kernel_rows_raw", eta_for_phi_rows)
+    law = test_engine.TestTinySizeLaw
+    monkeypatch.setattr(law, "MODEL", pickle.loads(pickle.dumps(law.MODEL)))
+    with pytest.raises(AssertionError):
+        test_engine.TestTinySizeLaw().test_law_and_unbiasedness(TRANS, 2, 3)
+
+
+def test_v_n_covariance_index_off_by_one(monkeypatch):
+    # Rejected by the independent plain-numpy v_n on random models.
+    monkeypatch.setattr(fk, "v_n", v_n_column_one_early)
+    with pytest.raises(AssertionError):
+        test_oracle.TestVnReference().test_random_models(3)
