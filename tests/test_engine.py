@@ -1,24 +1,16 @@
 from __future__ import annotations
 
-import itertools
 import math
 import pickle
 
 import numpy as np
 import pytest
-import scipy.stats
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fkclt as fk
 import fkclt.engine
-from fkclt.core import (
-    SAMPLING_TABLES_MAX,
-    InvalidModel,
-    _generator,
-    _kernel_rows_raw,
-    _phi_raw,
-)
+from fkclt.core import SAMPLING_TABLES_MAX, InvalidModel, _generator
 from fkclt.engine import READ_AHEAD, derive_seed
 
 from conftest import inverse_cdf, random_chain, random_explicit_model, random_model
@@ -225,307 +217,6 @@ class TestStep:
             bound = step0.G.values[x] * step0.M.rows[x, x]
             se = math.sqrt(rate * (1 - rate) / totals[x])
             assert rate >= bound - 3 * se
-
-
-def binomial_pmf(n: int, p: float) -> np.ndarray:
-    return np.array([math.comb(n, k) * p**k * (1.0 - p) ** (n - k) for k in range(n + 1)])
-
-
-def pooled_chi_square(observed: np.ndarray, expected: np.ndarray) -> tuple:
-    """(chi-square, degrees of freedom) after merging adjacent bins, from
-    the left, until each bin expects at least 5; a short last bin joins the
-    one before it."""
-    bins, o, e = [], 0.0, 0.0
-    for ok, ek in zip(observed, expected):
-        o, e = o + ok, e + ek
-        if e >= 5.0:
-            bins.append([o, e])
-            o, e = 0.0, 0.0
-    bins[-1][0] += o
-    bins[-1][1] += e
-    O, E = np.array(bins).T
-    return float(((O - E) ** 2 / E).sum()), len(bins) - 1
-
-
-class TestNextCountLaw:
-    """The engine's next count of state 1, given the state counts m, against
-    its exact law.  Both kernels have the same mean law Phi(m/N), so pooled
-    particle counts cannot tell them apart; the law of the count can:
-    Binomial(N, Phi(m/N)(1)) for the multinomial kernel, and for the
-    transport kernel the sum of independent Binomial(m_0, K(0, 1)) and
-    Binomial(m_1, K(1, 1)) over the kernel rows K."""
-
-    M = fk.StochasticKernel([[0.9, 0.1], [0.2, 0.8]])
-    G = fk.Potential([0.95, 0.99])
-    m = (32, 32)
-    N = sum(m)
-    reps = 4000
-
-    def exact_pmf(self, choice: fk.KernelChoice) -> np.ndarray:
-        mu = np.array(self.m) / self.N
-        if choice is MULTI:
-            return binomial_pmf(self.N, _phi_raw(mu, self.G.values, self.M.rows)[1])
-        K = _kernel_rows_raw(TRANS, mu, self.G.values, self.M.rows)
-        return np.convolve(binomial_pmf(self.m[0], K[0, 1]), binomial_pmf(self.m[1], K[1, 1]))
-
-    def next_counts(self, choice: fk.KernelChoice) -> np.ndarray:
-        model = fk.homogeneous_model(self.M, self.G, fk.ProbMeasure.uniform(2))
-        states = np.repeat([0, 1], self.m)
-        ones = np.empty(self.reps, dtype=np.int64)
-        for r in range(self.reps):
-            system = fk.ParticleSystem(states, 0, fk.RngStream(derive_seed(71, r)), 2)
-            ones[r] = fk.step(system, model, choice).states.sum()
-        return np.bincount(ones, minlength=self.N + 1)
-
-    @pytest.mark.parametrize("choice, other", [(MULTI, TRANS), (TRANS, MULTI)])
-    def test_count_follows_its_kernel_law(self, choice, other):
-        counts = self.next_counts(choice)
-        own = pooled_chi_square(counts, self.reps * self.exact_pmf(choice))
-        assert scipy.stats.chi2.sf(*own) > 1e-3, own
-        # The same counts reject the other kernel's law, so the test sees
-        # which kernel moved the particles.
-        wrong = pooled_chi_square(counts, self.reps * self.exact_pmf(other))
-        assert scipy.stats.chi2.sf(*wrong) < 1e-6, wrong
-
-    def test_exact_laws_have_one_mean_and_two_variances(self):
-        k = np.arange(self.N + 1)
-        multi, trans = self.exact_pmf(MULTI), self.exact_pmf(TRANS)
-        assert multi.sum() == pytest.approx(1.0) and trans.sum() == pytest.approx(1.0)
-        assert k @ multi == pytest.approx(k @ trans, rel=1e-12)
-        assert k**2 @ multi > k**2 @ trans
-
-
-class TestNextCountLawThreeStates:
-    """Each state's next count at d = 3, given counts m, against its exact
-    marginal law: Binomial(N, Phi(m/N)(x)) for the multinomial kernel, and
-    the convolution over source states s of Binomial(m_s, K(s, x)) for the
-    transport kernel.  At d = 2 a draw adds one comparison row, so only d >= 3
-    sees how the later rows add up."""
-
-    M = fk.StochasticKernel([[0.8, 0.15, 0.05], [0.1, 0.8, 0.1], [0.05, 0.15, 0.8]])
-    G = fk.Potential([0.9, 0.97, 0.85])
-    m = (20, 20, 24)
-    N = sum(m)
-    reps = 4000
-
-    def marginal_pmfs(self, choice: fk.KernelChoice) -> list:
-        mu = np.array(self.m) / self.N
-        K = _kernel_rows_raw(choice, mu, self.G.values, self.M.rows)
-        if choice is MULTI:
-            return [binomial_pmf(self.N, K[0, x]) for x in range(3)]
-        pmfs = []
-        for x in range(3):
-            pmf = np.ones(1)
-            for s, m_s in enumerate(self.m):
-                pmf = np.convolve(pmf, binomial_pmf(m_s, K[s, x]))
-            pmfs.append(pmf)
-        return pmfs
-
-    def next_counts(self, choice: fk.KernelChoice) -> np.ndarray:
-        model = fk.homogeneous_model(self.M, self.G, fk.ProbMeasure.uniform(3))
-        states = np.repeat([0, 1, 2], self.m)
-        counts = np.empty((self.reps, 3), dtype=np.int64)
-        for r in range(self.reps):
-            system = fk.ParticleSystem(states, 0, fk.RngStream(derive_seed(83, r)), 3)
-            counts[r] = np.bincount(fk.step(system, model, choice).states, minlength=3)
-        return counts
-
-    def p_values(self, choice: fk.KernelChoice) -> list:
-        counts = self.next_counts(choice)
-        return [
-            scipy.stats.chi2.sf(*pooled_chi_square(
-                np.bincount(counts[:, x], minlength=self.N + 1), self.reps * pmf))
-            for x, pmf in enumerate(self.marginal_pmfs(choice))
-        ]
-
-    @pytest.mark.parametrize("choice", [MULTI, TRANS])
-    def test_each_marginal_follows_its_kernel_law(self, choice):
-        assert min(self.p_values(choice)) > 1e-3
-
-
-def multinomial_law(N: int, p) -> dict:
-    """Multinomial(N, p) as {count vector: probability}, over every vector
-    of d = len(p) counts that add up to N."""
-    return {
-        c: math.factorial(N) / math.prod(math.factorial(k) for k in c)
-        * math.prod(q**k for q, k in zip(p, c))
-        for c in itertools.product(range(N + 1), repeat=len(p))
-        if sum(c) == N
-    }
-
-
-class TestJointNextCountLaw:
-    """The whole next count vector at d = 3, given counts m, against its
-    exact joint law over all C(N + 2, 2) = 91 count vectors of N = 12
-    particles: Multinomial(N, Phi(m/N)) for the multinomial kernel, and for
-    the transport kernel the convolution over source states s of
-    Multinomial(m_s, K(s, .)).  The marginal tests above cannot see how the
-    counts of one draw depend on each other."""
-
-    M = TestNextCountLawThreeStates.M
-    G = TestNextCountLawThreeStates.G
-    m = (3, 4, 5)
-    N = sum(m)
-    reps = 4000
-    outcomes = 91
-    seed = 101
-
-    def exact_law(self, choice: fk.KernelChoice) -> dict:
-        K = _kernel_rows_raw(choice, np.array(self.m) / self.N, self.G.values, self.M.rows)
-        if choice is MULTI:
-            return multinomial_law(self.N, K[0])
-        law = {(0,) * len(self.m): 1.0}
-        for s, m_s in enumerate(self.m):
-            source = multinomial_law(m_s, K[s])
-            joined = {}
-            for a, p in law.items():
-                for b, q in source.items():
-                    c = tuple(x + y for x, y in zip(a, b))
-                    joined[c] = joined.get(c, 0.0) + p * q
-            law = joined
-        return law
-
-    def next_counts(self, choice: fk.KernelChoice) -> dict:
-        d = len(self.m)
-        model = fk.homogeneous_model(self.M, self.G, fk.ProbMeasure.uniform(d))
-        states = np.repeat(np.arange(d), self.m)
-        seen = {}
-        for r in range(self.reps):
-            system = fk.ParticleSystem(states, 0, fk.RngStream(derive_seed(self.seed, r)), d)
-            c = tuple(np.bincount(fk.step(system, model, choice).states, minlength=d).tolist())
-            seen[c] = seen.get(c, 0) + 1
-        return seen
-
-    def p_value(self, seen: dict, law: dict) -> float:
-        """Chi-square over the count vectors in order of decreasing exact
-        probability, the rare ones pooled."""
-        order = sorted(law, key=law.get, reverse=True)
-        observed = np.array([seen.get(c, 0) for c in order])
-        return scipy.stats.chi2.sf(*pooled_chi_square(
-            observed, self.reps * np.array([law[c] for c in order])))
-
-    def test_exact_laws_list_every_count_vector(self):
-        d = len(self.m)
-        for choice in (MULTI, TRANS):
-            law = self.exact_law(choice)
-            assert len(law) == math.comb(self.N + d - 1, d - 1) == self.outcomes
-            assert sum(law.values()) == pytest.approx(1.0, abs=1e-14)
-
-    @pytest.mark.parametrize("choice, other", [(MULTI, TRANS), (TRANS, MULTI)])
-    def test_count_vector_follows_its_kernel_law(self, choice, other):
-        seen = self.next_counts(choice)
-        assert set(seen) <= set(self.exact_law(choice))
-        assert self.p_value(seen, self.exact_law(choice)) > 1e-3
-        assert self.p_value(seen, self.exact_law(other)) < 1e-6
-
-
-class TestJointNextCountLawFourStates(TestJointNextCountLaw):
-    """The joint next-count law at d = 4, over all C(N + 3, 3) = 165 count
-    vectors of N = 8 particles.  A draw compares each uniform against d-1 = 3
-    thresholds, so the third comparison row is in the law too."""
-
-    M = fk.StochasticKernel(
-        [[0.7, 0.15, 0.1, 0.05], [0.1, 0.7, 0.1, 0.1], [0.05, 0.1, 0.75, 0.1],
-         [0.05, 0.05, 0.15, 0.75]]
-    )
-    G = fk.Potential([0.9, 0.8, 0.95, 0.85])
-    m = (1, 2, 2, 3)
-    N = sum(m)
-    outcomes = 165
-    seed = 103
-
-
-def next_count_pmf(fkstep: fk.FKStep, choice: fk.KernelChoice, N: int, m: int) -> np.ndarray:
-    """Law of the next count of state 1 on two states, given m particles in
-    state 1, built by hand from G and M: Binomial(N, Phi(1)) for the
-    multinomial kernel; for the transport kernel the sum of independent
-    Binomial(N - m, K(0, 1)) and Binomial(m, K(1, 1)), where
-    K(x, 1) = G(x) M(x, 1) + (1 - G(x)) Phi(1)."""
-    g, M = fkstep.G.values, fkstep.M.rows
-    w = np.array([(N - m) * g[0], m * g[1]])
-    phi1 = (w[0] * M[0, 1] + w[1] * M[1, 1]) / w.sum()
-    if choice is MULTI:
-        return binomial_pmf(N, phi1)
-    k = g * M[:, 1] + (1.0 - g) * phi1
-    return np.convolve(binomial_pmf(N - m, k[0]), binomial_pmf(m, k[1]))
-
-
-def exact_log_gamma_law(model: fk.FKModel, choice: fk.KernelChoice, N: int, n: int) -> tuple:
-    """Exact law of log gamma^N_n on two states, (support, pmf) with the
-    support sorted: every path (m_0, ..., m_{n-1}) of the count of state 1
-    is listed with its probability, and gives log gamma^N_n =
-    sum_p log(((N - m_p) G_p(0) + m_p G_p(1)) / N).  Paths whose values agree
-    to 1e-12 share one support point."""
-    paths = {(m,): q for m, q in enumerate(binomial_pmf(N, model.eta0.weights[1]))}
-    for p in range(n - 1):
-        paths = {
-            path + (m,): q * r
-            for path, q in paths.items()
-            for m, r in enumerate(next_count_pmf(model.step(p), choice, N, path[-1]))
-        }
-    g = [model.step(p).G.values for p in range(n)]
-    values = [
-        sum(math.log(((N - m) * g[p][0] + m * g[p][1]) / N) for p, m in enumerate(path))
-        for path in paths
-    ]
-    order = np.argsort(values)
-    support, pmf = [], []
-    for value, q in zip(np.array(values)[order], np.array(list(paths.values()))[order]):
-        if support and value - support[-1] <= 1e-12 * max(1.0, abs(value)):
-            pmf[-1] += q
-        else:
-            support.append(value)
-            pmf.append(q)
-    return np.array(support), np.array(pmf)
-
-
-class TestTinySizeLaw:
-    """The engine's log gamma^N_n against its exact law at d = 2, N <= 4,
-    n <= 3, listed over every path of the state counts.  Each sample must
-    sit on the enumerated support, and the samples' frequencies must pass a
-    chi-square against the enumerated pmf.  The law's mean of gamma_bar is
-    exactly 1, the estimator's unbiasedness.  The three steps differ, so a
-    potential or kernel read at the wrong generation changes the law."""
-
-    MODEL = fk.explicit_model(
-        [
-            fk.FKStep(fk.Potential([0.3, 0.9]), fk.StochasticKernel([[0.8, 0.2], [0.3, 0.7]])),
-            fk.FKStep(fk.Potential([0.95, 0.2]), fk.StochasticKernel([[0.4, 0.6], [0.5, 0.5]])),
-            fk.FKStep(fk.Potential([0.6, 0.1]), fk.StochasticKernel([[0.9, 0.1], [0.2, 0.8]])),
-        ],
-        fk.ProbMeasure([0.35, 0.65]),
-    )
-    SIZES = [(1, 3), (2, 1), (2, 3), (3, 2), (4, 3)]
-    REPS = 2000
-
-    @pytest.mark.parametrize("N, n", SIZES)
-    @pytest.mark.parametrize("choice", [MULTI, TRANS])
-    def test_law_and_unbiasedness(self, choice, N, n):
-        self.check(choice, N, n, self.REPS, 1000 * N + 10 * n + (choice is TRANS))
-
-    @pytest.mark.parametrize("choice", [MULTI, TRANS])
-    def test_law_with_many_samples(self, choice):
-        # Ten times the samples at one size, so the chi-square resolves a law
-        # a little off: under the transport kernel the counts reach a row
-        # only through phi's weight 1 - G(x), so tables built on wrong counts
-        # move the law of log gamma^N_n little.
-        self.check(choice, 2, 3, 20_000, 2_000_000 + (choice is TRANS))
-
-    def check(self, choice, N, n, reps, master):
-        support, pmf = exact_log_gamma_law(self.MODEL, choice, N, n)
-        assert pmf.sum() == pytest.approx(1.0, abs=1e-14)
-        log_gamma_n = fk.propagate(self.MODEL, n).log_gammas[-1]
-        assert abs(pmf @ np.exp(support - log_gamma_n) - 1.0) <= 1e-12
-        samples = np.array(
-            [fk.run(self.MODEL, N, n, choice, derive_seed(master, r)).log_gamma_N
-             for r in range(reps)]
-        )
-        nearest = np.abs(samples[:, None] - support[None, :]).argmin(axis=1)
-        assert np.abs(samples - support[nearest]).max() <= 1e-12
-        observed = np.bincount(nearest, minlength=support.size)
-        stat, dof = pooled_chi_square(observed, reps * pmf)
-        assert dof >= 1
-        assert scipy.stats.chi2.sf(stat, dof) > 1e-4, (stat, dof)
 
 
 def reference_run(model, N, n, choice, seed):

@@ -14,12 +14,15 @@ the bits, are named here and left out:
   above +0.0;
 - the transport rows handed out to the particles by sorted state: the
   count law and the law of the estimator stay the same.
+
+The engine mutants run the law tests of ``test_law`` on its rows, whose
+laws ``lawkit`` builds by hand and whose models are built fresh, so the
+patched code builds every sampling table the engine reads.
 """
 
 from __future__ import annotations
 
 import math
-import pickle
 
 import numpy as np
 import pytest
@@ -34,6 +37,7 @@ from fkclt.core import _categorical_thresholds, _cov_raw
 from fkclt.oracle import _KahanSum, _kept_flow, _stack
 
 import test_engine
+import test_law
 import test_models
 import test_oracle
 
@@ -139,13 +143,20 @@ def approximate_hmm_env_chain(params):
     )
 
 
+def next_count_p(name, choice):
+    """p-value of the engine's next counts on ``test_law.ROWS[name]``,
+    drawn under ``choice`` on a fresh model, against that kernel's law."""
+    row = test_law.ROWS[name]
+    return row.p_value(row.next_counts(choice), choice)
+
+
 @pytest.mark.parametrize("choice", [MULTI, TRANS])
 def test_m1_late_potential_mean(monkeypatch, choice):
-    # Rejected by the tiny-size law: the late mean leaves the enumerated
-    # support of log gamma^N_n.
+    # Rejected by the tiny-size law at N = 2, n = 3 (p = 0 under both
+    # kernels).
     monkeypatch.setattr(fk, "run", late_mean_run)
     with pytest.raises(AssertionError):
-        test_engine.TestTinySizeLaw().test_law_and_unbiasedness(choice, 2, 3)
+        test_law.test_log_gamma_follows_its_law(choice, 2, 3, 2000, 2030)
 
 
 def test_tail_count_off_by_one_breaks_the_carried_counts(monkeypatch):
@@ -157,26 +168,21 @@ def test_tail_count_off_by_one_breaks_the_carried_counts(monkeypatch):
 
 @pytest.mark.parametrize("choice", [MULTI, TRANS])
 def test_tail_count_off_by_one_in_law(monkeypatch, choice):
-    # Every generation draws from a table built on wrong counts.  The
-    # tiny-size law at N = 2, n = 3 sees that under the multinomial kernel
-    # with 2000 samples; under the transport kernel only phi's share of
-    # each row moves, so it takes the law test with 20000 samples.
+    # Every generation after the first draws from a table built on wrong
+    # counts.  The law test builds its model fresh, so no table the real
+    # code built hides that: the tiny-size law at N = 2, n = 3 rejects it
+    # with 2000 samples under both kernels.
     monkeypatch.setattr(fkclt.engine, "_categorical_thresholds", tail_count_one_short)
-    law = test_engine.TestTinySizeLaw()
     with pytest.raises(AssertionError):
-        if choice is MULTI:
-            law.test_law_and_unbiasedness(choice, 2, 3)
-        else:
-            law.test_law_with_many_samples(choice)
+        test_law.test_log_gamma_follows_its_law(choice, 2, 3, 2000, 2030)
 
 
 @pytest.mark.parametrize("choice", [MULTI, TRANS])
 def test_skip_comparison_row_1(monkeypatch, choice):
     # Rejected by the d = 3 marginal laws and the d = 4 joint law.
     monkeypatch.setattr(fkclt.engine, "_categorical_thresholds", skip_comparison_row_1)
-    assert min(test_engine.TestNextCountLawThreeStates().p_values(choice)) < 1e-6
-    joint = test_engine.TestJointNextCountLawFourStates()
-    assert joint.p_value(joint.next_counts(choice), joint.exact_law(choice)) < 1e-6
+    assert next_count_p("d3-marginals", choice) < 1e-6
+    assert next_count_p("d4", choice) < 1e-6
 
 
 @pytest.mark.parametrize("choice", [MULTI, TRANS])
@@ -185,9 +191,8 @@ def test_kernel_swap_in_the_engine(monkeypatch, choice):
     swapped = kernel_swap(fk.step)
     monkeypatch.setattr(fk, "step", swapped)
     monkeypatch.setattr(fkclt.engine, "step", swapped)
-    assert min(test_engine.TestNextCountLawThreeStates().p_values(choice)) < 1e-6
-    joint = test_engine.TestJointNextCountLawFourStates()
-    assert joint.p_value(joint.next_counts(choice), joint.exact_law(choice)) < 1e-6
+    assert next_count_p("d3-marginals", choice) < 1e-6
+    assert next_count_p("d4", choice) < 1e-6
 
 
 def test_cov_kernel_swap(monkeypatch, two_state):
@@ -214,31 +219,25 @@ def test_thresholds_one_state_late(monkeypatch, choice):
     # Rejected by the d = 3 marginal laws and the d = 4 joint law.
     for module in (fkclt.core, fkclt.engine):
         monkeypatch.setattr(module, "_thresholds", thresholds_one_state_late)
-    assert min(test_engine.TestNextCountLawThreeStates().p_values(choice)) < 1e-6
-    joint = test_engine.TestJointNextCountLawFourStates()
-    assert joint.p_value(joint.next_counts(choice), joint.exact_law(choice)) < 1e-6
+    assert next_count_p("d3-marginals", choice) < 1e-6
+    assert next_count_p("d4", choice) < 1e-6
 
 
 def test_eta_for_phi_in_the_multinomial_rows(monkeypatch):
-    # Rejected by the d = 3 marginal laws and the d = 4 joint law, whose
-    # exact laws build their rows with the unpatched ``_kernel_rows_raw``.
+    # Rejected by the d = 3 marginal laws and the d = 4 joint law; the kit
+    # builds its rows by hand, not with the patched ``_kernel_rows_raw``.
     monkeypatch.setattr(fkclt.core, "_kernel_rows_raw", eta_for_phi_rows)
-    assert min(test_engine.TestNextCountLawThreeStates().p_values(MULTI)) < 1e-6
-    joint = test_engine.TestJointNextCountLawFourStates()
-    assert joint.p_value(joint.next_counts(MULTI), joint.exact_law(MULTI)) < 1e-6
+    assert next_count_p("d3-marginals", MULTI) < 1e-6
+    assert next_count_p("d4", MULTI) < 1e-6
 
 
 def test_eta_for_phi_in_the_transport_rows(monkeypatch):
-    # A transport row takes phi only with weight 1 - G(x), so the d = 4
-    # joint law (p about 0.006) does not see the mutant and the d = 3
-    # marginal laws only just do (p about 7e-6).  The tiny-size law sees it
-    # at 2000 samples: its potentials reach down to 0.1.  The law runs on a
-    # copy of its model, which keeps none of the tables earlier tests built.
+    # A transport row takes phi only with weight 1 - G(x), so at the d = 4
+    # row's potentials (0.8-0.95) the mutant moves the law little.  The
+    # same counts and kernel with potentials 0.1-0.5 reject it with 1000
+    # draws.
     monkeypatch.setattr(fkclt.core, "_kernel_rows_raw", eta_for_phi_rows)
-    law = test_engine.TestTinySizeLaw
-    monkeypatch.setattr(law, "MODEL", pickle.loads(pickle.dumps(law.MODEL)))
-    with pytest.raises(AssertionError):
-        test_engine.TestTinySizeLaw().test_law_and_unbiasedness(TRANS, 2, 3)
+    assert next_count_p("d4-low", TRANS) < 1e-6
 
 
 def test_v_n_covariance_index_off_by_one(monkeypatch):

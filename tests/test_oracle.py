@@ -6,6 +6,8 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fkclt as fk
 from fkclt import oracle
@@ -16,6 +18,10 @@ from conftest import random_chain, random_explicit_model, random_model
 
 MULTI = fk.KernelChoice.MULTINOMIAL
 TRANS = fk.KernelChoice.TRANSPORT
+EPS = np.finfo(float).eps
+# Rounding allowed to break the transport <= multinomial order of v_n and
+# sigma^2, in ulps per summed term.
+ORDER_ULPS = 4
 
 
 def constant_g_model(c=0.4, d=2):
@@ -263,6 +269,22 @@ class TestVn:
             model = random_model(rng, int(rng.integers(2, 6)), transport_safe=True)
             for choice in fk.KernelChoice:
                 assert fk.v_n(model, choice, 7) >= 0.0
+
+    @settings(max_examples=100, derandomize=True, database=None, deadline=None)
+    @given(st.integers(1, 5), st.integers(0, 29), st.integers(0, 2**32 - 1))
+    def test_transport_never_exceeds_multinomial(self, d, n, seed):
+        # Under mu the transport rows average to Phi(mu), so by Jensen's
+        # inequality mu[K(f)^2] >= Phi(f)^2: each transport conditional
+        # variance is at most the multinomial one.  v_n and sigma^2 add up
+        # such terms over the same columns, so they keep the order, up to
+        # rounding of at most ORDER_ULPS ulps per summed term.
+        rng = np.random.default_rng(seed)
+        homogeneous = random_model(rng, d, transport_safe=True)
+        for model in (homogeneous, random_explicit_model(rng, d, max(n, 1))):
+            bound = fk.v_n(model, MULTI, n) * (1.0 + ORDER_ULPS * (n + 1) * EPS)
+            assert fk.v_n(model, TRANS, n) <= bound
+        bound = fk.sigma2_homogeneous(homogeneous, MULTI) * (1.0 + ORDER_ULPS * EPS)
+        assert fk.sigma2_homogeneous(homogeneous, TRANS) <= bound
 
 
 def reference_v_n(model, choice, n):
