@@ -48,12 +48,18 @@ def hmm_params():
     )
 
 
-def inverse_cdf(cdfs, u):
-    """Draw i by compare-and-sum on its CDF row ``cdfs[i]`` (one row (1, d)
-    serves every draw): the number of CDF values below u[i], clipped to
-    d-1.  It shares no code with the package's sampler, so the suite's
-    reference loops check that sampler instead of sharing it."""
-    return np.minimum((cdfs < u[:, None]).sum(axis=1), cdfs.shape[1] - 1)
+def stack(model: fk.FKModel, lo: int, hi: int) -> tuple:
+    """Potentials (k, d) and kernels (k, d, d) of the model's steps
+    lo..hi-1, the arrays ``refkit`` takes."""
+    steps = [model.step(q) for q in range(lo, hi)]
+    G = np.array([s.G.values for s in steps]).reshape(-1, model.d)
+    return G, np.array([s.M.rows for s in steps]).reshape(-1, model.d, model.d)
+
+
+def uniforms(seed: int, shape) -> np.ndarray:
+    """The uniforms of PCG64 seeded with ``seed`` modulo 2**64, in the
+    order the package's samplers read them."""
+    return np.random.Generator(np.random.PCG64(int(seed) & 0xFFFFFFFFFFFFFFFF)).random(shape)
 
 
 def random_model(rng: np.random.Generator, d: int, transport_safe: bool = False) -> fk.FKModel:

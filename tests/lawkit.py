@@ -15,11 +15,12 @@ its path.  The kit gives the chain's exact laws, at any d:
   m_0 ~ Multinomial(N, eta_0);
 - ``p_value``: one pooled chi-square of drawn outcomes against a law.
 
-phi and K are built here by hand from G and M, not by the package's row
-builders: a fault in those changes what the engine draws, not the law its
-draws are tested against.  ``next_counts`` and ``log_gammas`` draw through
-the engine, after asserting that no step they use keeps a sampling table:
-a table built before a fault was patched in would hide the fault.
+phi and K come from ``refkit.rows``, built by hand from G and M, not by
+the package's row builders: a fault in those changes what the engine
+draws, not the law its draws are tested against.  ``next_counts`` and
+``log_gammas`` draw through the engine, after asserting that no step they
+use keeps a sampling table: a table built before a fault was patched in
+would hide the fault.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ import numpy as np
 import scipy.stats
 
 import fkclt as fk
+import refkit
 from fkclt.engine import derive_seed
 
 MULTI = fk.KernelChoice.MULTINOMIAL
@@ -54,20 +56,10 @@ def _multinomial(N: int, p) -> dict:
     }
 
 
-def kernel_rows(G, M, choice, m) -> np.ndarray:
-    """The (d, d) rows a particle in each state draws from, given counts m."""
-    G, M = np.asarray(G, dtype=float), np.asarray(M, dtype=float)
-    w = np.asarray(m) * G
-    phi = w @ M / w.sum()
-    if choice is MULTI:
-        return np.repeat(phi[None], len(G), axis=0)
-    return G[:, None] * M + (1.0 - G)[:, None] * phi
-
-
 def next_count_law(G, M, choice, m) -> dict:
     """The exact law of the next count vector given counts m, as
     {count vector: probability} over all C(N + d - 1, d - 1) vectors."""
-    K = kernel_rows(G, M, choice, m)
+    K = refkit.rows(*map(np.asarray, (m, G, M)), choice is TRANS)
     N, d = sum(m), len(m)
     if choice is MULTI:
         return _multinomial(N, K[0])

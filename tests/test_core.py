@@ -5,6 +5,7 @@ import pytest
 
 import fkclt as fk
 import fkclt.oracle
+import refkit
 from fkclt.core import (
     DimensionMismatch,
     InvalidModel,
@@ -266,18 +267,6 @@ class TestCovOperator:
                 assert delta <= FROZEN_C * tv
 
 
-def tile_cov(choice, mu_w, g_v, m_r, v1, v2):
-    """The covariance as one row at a time: kernel rows tiled or mixed, then
-    one matrix-vector product per function and one dot product."""
-    phi = ((mu_w * g_v) / (mu_w * g_v).sum()) @ m_r
-    if choice is fk.KernelChoice.MULTINOMIAL:
-        rows = np.tile(phi, (m_r.shape[0], 1))
-    else:
-        rows = g_v[:, None] * m_r + (1.0 - g_v)[:, None] * phi[None, :]
-    k1, k2, k12 = rows @ v1, rows @ v2, rows @ (v1 * v2)
-    return float(mu_w @ (k12 - k1 * k2))
-
-
 class TestCovBatch:
     @pytest.mark.parametrize("d", [1, 2, 3, 5])
     @pytest.mark.parametrize("b", [1, 7])
@@ -294,14 +283,15 @@ class TestCovBatch:
             covs = _cov_raw(choice, mus, gs, ms, f1s, f2s)
             variances = _cov_raw(choice, mus, gs, ms, f1s, f1s)
             assert covs.shape == variances.shape == (b,)
+            transport = choice is fk.KernelChoice.TRANSPORT
             for i in range(b):
                 mu = measures[i]
                 want = fk.cov_operator(choice, mu, Gs[i], Ms[i], f1s[i], f2s[i])
                 assert covs[i] == want
-                assert want == tile_cov(choice, mus[i], gs[i], ms[i], f1s[i], f2s[i])
+                assert want == refkit.cov(mus[i], gs[i], ms[i], transport, f1s[i], f2s[i])
                 want = fk.cov_operator(choice, mu, Gs[i], Ms[i], f1s[i], f1s[i])
                 assert variances[i] == want
-                assert want == tile_cov(choice, mus[i], gs[i], ms[i], f1s[i], f1s[i])
+                assert want == refkit.cov(mus[i], gs[i], ms[i], transport, f1s[i], f1s[i])
 
     def test_transport_rejects_large_potential_everywhere(self, env_chain):
         mu, _, M = make_pieces()
@@ -355,12 +345,6 @@ def draw(laws, u, rows=None):
     return _categorical_thresholds(_thresholds(np.atleast_2d(laws)), u, rows)
 
 
-def searched_cdf(cdf, u):
-    """Independent reference draws from one CDF: a binary search, clipped
-    to d-1."""
-    return np.minimum(np.searchsorted(cdf, u, side="left"), cdf.size - 1)
-
-
 class TestCategorical:
     def test_uniform_on_a_step_takes_that_state(self):
         law = np.array([0.25, 0.25, 0.5])
@@ -383,12 +367,11 @@ class TestCategorical:
         """The sampler against independent inverse CDFs: a binary search on
         one CDF and a compare-and-sum along gathered CDF rows, each clipped
         to d-1; and the table form row by row against the one-law form."""
-        d = laws.shape[1]
         cdfs = np.cumsum(laws, axis=1)
         single = draw(laws[0], u)[0]
-        assert single.dtype == np.int64 and np.array_equal(single, searched_cdf(cdfs[0], u))
+        assert single.dtype == np.int64 and np.array_equal(single, refkit.searched(cdfs[0], u))
         drawn = draw(laws, u, rows)[0]
-        expected = np.minimum((cdfs[rows] < u[:, None]).sum(axis=1), d - 1)
+        expected = refkit.compared(cdfs[rows], u)
         assert drawn.dtype == np.int64 and np.array_equal(drawn, expected)
         per_row = [draw(laws[r], u[i : i + 1])[0][0] for i, r in enumerate(rows)]
         assert np.array_equal(drawn, np.array(per_row, dtype=np.int64))
@@ -471,17 +454,6 @@ class TestCategorical:
             _thresholds(np.array(laws))
 
 
-def ref_chain_path(law0, moves, u):
-    """One draw per step, each by binary search on its own CDF: the first
-    from law0, each later one from the row of moves at its predecessor."""
-    states = np.empty(u.size, dtype=np.int64)
-    law = law0
-    for i in range(u.size):
-        states[i] = searched_cdf(np.cumsum(law), u[i])
-        law = moves[states[i]]
-    return states
-
-
 class TestChainPath:
     @pytest.mark.parametrize("length", [0, 1, 1000])
     @pytest.mark.parametrize("d", [1, 2, 3, 8])
@@ -492,7 +464,7 @@ class TestChainPath:
         u = gen.random(length)
         states = _chain_path(law0, moves, u)
         assert states.dtype == np.int64 and states.shape == (length,)
-        assert np.array_equal(states, ref_chain_path(law0, moves, u))
+        assert np.array_equal(states, refkit.chain_path(law0, moves, u))
 
     def test_zero_probability_moves_are_never_taken(self):
         # A deterministic cycle 0 -> 1 -> 2 -> 0 whatever the uniforms.

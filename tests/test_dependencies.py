@@ -3,8 +3,10 @@ and the other test tools stay out of ``src/fkclt``.  Of numpy it uses only
 the public modules: the private ones (``numpy._core``, ``numpy.core``,
 ``numpy.lib._*``) move between releases.  Only ``core`` builds cumulative
 sums, so the threshold layout the sampler reads stays in one module.  The
-suite imports only what ``pyproject.toml`` declares, so
-``pip install .[test]`` can collect it."""
+reference kit ``tests/refkit.py`` imports only the standard library and
+numpy, never fkclt, so no fault in the package reaches the values the
+exact tests expect.  The suite imports only what ``pyproject.toml``
+declares, so ``pip install .[test]`` can collect it."""
 
 from __future__ import annotations
 
@@ -131,6 +133,54 @@ def test_the_guard_sees_a_cumsum_call(tmp_path):
         "e = np.sum(a)\n"
     )
     assert cumsum_calls(module) == [3, 4, 5, 6]
+
+
+IMPORT_CALLS = {"__import__", "import_module"}
+
+
+def kit_breaches(path: pathlib.Path) -> list:
+    """Lines where a module imports anything but the standard library and
+    numpy (fkclt, or a test module, which may import it), or names fkclt
+    to an import call (``__import__("fkclt")``,
+    ``importlib.import_module("fkclt.core")``)."""
+    lines = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            roots = {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            roots = {node.module.split(".")[0] if node.level == 0 else "."}
+        elif isinstance(node, ast.Call) and IMPORT_CALLS & {
+            getattr(node.func, "attr", None), getattr(node.func, "id", None)
+        }:
+            roots = {str(a.value).split(".")[0] for a in node.args if isinstance(a, ast.Constant)}
+            roots &= {"fkclt"}
+        else:
+            continue
+        if roots - (ALLOWED - {"fkclt"}):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_the_reference_kit_imports_no_fkclt():
+    assert not kit_breaches(TESTS / "refkit.py"), kit_breaches(TESTS / "refkit.py")
+
+
+def test_the_guard_sees_an_fkclt_import(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text(
+        "import math\n"
+        "import numpy as np\n"
+        "import fkclt.core as core\n"
+        "from fkclt import oracle\n"
+        "import conftest\n"
+        "from . import lawkit\n"
+        "\n"
+        "def f():\n"
+        "    import importlib\n"
+        "    a = importlib.import_module('fkclt.oracle')\n"
+        "    return __import__('fkclt'), np.zeros(3), print('fkclt')\n"
+    )
+    assert kit_breaches(module) == [3, 4, 5, 6, 10, 11]
 
 
 def declared_requirements() -> set:

@@ -10,10 +10,11 @@ from hypothesis import strategies as st
 
 import fkclt as fk
 import fkclt.engine
+import refkit
 from fkclt.core import SAMPLING_TABLES_MAX, InvalidModel, _generator
 from fkclt.engine import READ_AHEAD, derive_seed
 
-from conftest import inverse_cdf, random_chain, random_explicit_model, random_model
+from conftest import random_chain, random_explicit_model, random_model, stack, uniforms
 
 MULTI = fk.KernelChoice.MULTINOMIAL
 TRANS = fk.KernelChoice.TRANSPORT
@@ -219,31 +220,10 @@ class TestStep:
             assert rate >= bound - 3 * se
 
 
-def reference_run(model, N, n, choice, seed):
-    """log gamma_N by the plain loop: np.mean of the potential, a validated
-    ParticleSystem per generation, np.cumsum, every kernel row built from
-    scratch each generation, and the draws by ``inverse_cdf``."""
-    stream = fk.RngStream(seed)
-    states = inverse_cdf(np.cumsum(model.eta0.weights)[None], stream.uniforms(N))
-    system = fk.ParticleSystem(states, 0, stream, model.d)
-    log_gamma = 0.0
-    for p in range(n):
-        step = model.step(p)
-        g, m = step.G.values, step.M.rows
-        log_gamma += math.log(float(np.mean(g[system.states])))
-        mu_w = np.bincount(system.states, minlength=model.d) / N
-        w = mu_w * g
-        phi = (w / w.sum()) @ m
-        if choice is MULTI:
-            cdfs = np.cumsum(phi)[None]
-        else:
-            if g.max() > 1.0:
-                raise InvalidModel("transport kernel needs potential values <= 1")
-            kernel = g[:, None] * m + (1.0 - g)[:, None] * phi[None, :]
-            cdfs = np.cumsum(kernel, axis=1)[system.states]
-        states = inverse_cdf(cdfs, stream.uniforms(N))
-        system = fk.ParticleSystem(states, p + 1, stream, model.d)
-    return log_gamma
+def kit_run(model, N, n, choice, seed):
+    """log gamma^N_n of ``fk.run``'s uniforms, by the kit's particle loop."""
+    G, M = stack(model, 0, n)
+    return refkit.log_gamma_N(model.eta0.weights, G, M, choice is TRANS, uniforms(seed, (n + 1, N)))
 
 
 class TestRunReference:
@@ -262,7 +242,7 @@ class TestRunReference:
                     for n in (0, 1, 17):
                         for seed in (3, 2**40 + 1):
                             got = fk.run(model, N, n, choice, seed).log_gamma_N
-                            assert got == reference_run(model, N, n, choice, seed), (
+                            assert got == kit_run(model, N, n, choice, seed), (
                                 kind, choice, N, n, seed
                             )
 
@@ -293,7 +273,7 @@ class TestSamplingTableMemo:
             for round_ in range(2):
                 for N, choice in self.SEQUENCE:
                     seed = 11 * N + round_
-                    want = reference_run(model, N, 17, choice, seed)
+                    want = kit_run(model, N, 17, choice, seed)
                     assert fk.run(model, N, 17, choice, seed).log_gamma_N == want, (
                         kind, round_, N, choice
                     )
@@ -320,7 +300,7 @@ class TestSamplingTableMemo:
         assert len(model.step(0)._tables) == SAMPLING_TABLES_MAX
         for choice in fk.KernelChoice:
             got = fk.run(model, 1000, 20, choice, seed=99).log_gamma_N
-            assert got == reference_run(model, 1000, 20, choice, 99)
+            assert got == kit_run(model, 1000, 20, choice, 99)
         assert len(model.step(0)._tables) == SAMPLING_TABLES_MAX
 
     @pytest.mark.parametrize("kind", ["homogeneous", "explicit", "environment"])
@@ -426,7 +406,7 @@ class TestRunProperty:
     def test_run_equals_the_uncached_loop(self, case):
         model, n, runs = case
         for N, choice, seed in runs:
-            assert fk.run(model, N, n, choice, seed).log_gamma_N == reference_run(
+            assert fk.run(model, N, n, choice, seed).log_gamma_N == kit_run(
                 model, N, n, choice, seed
             )
 
@@ -648,7 +628,8 @@ class TestErrorFields:
             system = fk.ParticleSystem(frozen_states, 0, fk.RngStream(derive_seed(71, r)), 2)
             after = fk.step(system, two_state, choice)
             vals[r] = fk.local_error_field(system, after, two_state, f)
-        target_var = fk.cov_operator(choice, empirical(frozen), step0.G, step0.M, f, f)
+        mu, g, m = empirical(frozen).weights, step0.G.values, step0.M.rows
+        target_var = refkit.cov(mu, g, m, choice is TRANS, f.values, f.values)
         se_mean = vals.std(ddof=1) / math.sqrt(reps)
         assert abs(vals.mean()) <= 3 * se_mean
         sample_var = vals.var(ddof=1)

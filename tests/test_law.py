@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 import fkclt as fk
 import lawkit
+import refkit
 from lawkit import MULTI, TRANS, log_gamma_law, next_count_law
 
 from conftest import random_explicit_model
@@ -87,7 +88,7 @@ def test_exact_laws(name):
         law = next_count_law(row.G, row.M, choice, row.m)
         assert len(law) == math.comb(N + d - 1, d - 1)
         assert sum(law.values()) == pytest.approx(1.0, abs=1e-14)
-        K = lawkit.kernel_rows(row.G, row.M, choice, row.m)
+        K = refkit.rows(*map(np.asarray, (row.m, row.G, row.M)), choice is TRANS)
         c, q = np.array(list(law), dtype=float), np.array(list(law.values()))
         np.testing.assert_allclose(q @ c, np.asarray(row.m) @ K, rtol=1e-12)
         covs[choice] = (c - q @ c).T @ ((c - q @ c) * q[:, None])

@@ -8,12 +8,13 @@ import numpy as np
 import pytest
 
 import fkclt as fk
+import refkit
 from fkclt import models
 from fkclt.core import InvalidModel
 from fkclt.models import SURVIVAL_CHUNK, hmm_env_chain, hmm_filter
 from fkclt.randenv import EnvPath, eta_inf_env
 
-from conftest import inverse_cdf
+from conftest import uniforms
 
 MULTI = fk.KernelChoice.MULTINOMIAL
 
@@ -62,19 +63,10 @@ class TestAbsorption:
             fk.survival_mc_oracle(am, 1, trials=99, seed=1)
 
 
-def ref_survival_table(model, n, trials, seed):
-    """The whole-array killed-chain loop: every trial in one array, dead
-    chains still drawn and moved by ``inverse_cdf``."""
-    gen = np.random.Generator(np.random.PCG64(int(seed) & 0xFFFFFFFFFFFFFFFF))
-    states = inverse_cdf(np.cumsum(model.eta0.weights)[None], gen.random(trials))
-    cum_rows = np.cumsum(model.M.rows, axis=1)
-    alive = np.ones(trials, dtype=bool)
-    fractions = np.ones(n + 1)
-    for horizon in range(1, n + 1):
-        alive &= gen.random(trials) < model.G.values[states]
-        states = inverse_cdf(cum_rows[states], gen.random(trials))
-        fractions[horizon] = alive.mean()
-    return fractions
+def kit_survival_table(model, n, trials, seed):
+    """The kit's whole-array killed-chain table on the seed's uniforms."""
+    u = uniforms(seed, (2 * n + 1, trials))
+    return refkit.survival_table(model.eta0.weights, model.G.values, model.M.rows, u)
 
 
 def random_absorption(rng, d, low=0.05, high=0.95):
@@ -99,13 +91,13 @@ class TestSurvivalChunks:
                 am = random_absorption(rng, d)
                 seed = int(rng.integers(1 << 62))
                 got = models.survival_mc_table(am, n, trials, seed)
-                assert np.array_equal(got, ref_survival_table(am, n, trials, seed))
+                assert np.array_equal(got, kit_survival_table(am, n, trials, seed))
 
     def test_early_stop_when_every_chain_dies(self, monkeypatch):
         monkeypatch.setattr(models, "SURVIVAL_CHUNK", 64)
         am = random_absorption(np.random.default_rng(7), 3, low=0.01, high=0.05)
         for trials in (100, 1000):
-            want = ref_survival_table(am, 40, trials, 11)
+            want = kit_survival_table(am, 40, trials, 11)
             assert want[-1] == 0.0  # every chain dies well before n
             assert np.array_equal(models.survival_mc_table(am, 40, trials, 11), want)
 
@@ -170,19 +162,15 @@ class TestHmmGenerate:
         np.testing.assert_array_equal(hidden, obs)
 
     def test_matches_scalar_draw_loop(self, hmm_params):
-        # Reference: scalar uniforms in the order initial, then per position
-        # emission and move, each by binary search on its CDF.
-        gen = np.random.Generator(np.random.PCG64(7))
-        cum_emit = np.cumsum(hmm_params.emission, axis=1)
-        cum_trans = np.cumsum(hmm_params.transition.rows, axis=1)
-        x = int(np.searchsorted(np.cumsum(hmm_params.initial.weights), gen.random()))
-        hidden, observed = [], []
-        for _ in range(100):
-            hidden.append(x)
-            observed.append(min(int(np.searchsorted(cum_emit[x], gen.random())), 1))
-            x = min(int(np.searchsorted(cum_trans[x], gen.random())), 1)
+        # Reference: uniforms in the order initial, then per position emission
+        # and move: the states are a Markov path on the even uniforms, each
+        # symbol a draw from its state's emission CDF on the next odd one.
+        u = uniforms(7, 201)
+        law0, moves = hmm_params.initial.weights, hmm_params.transition.rows
+        hidden = refkit.chain_path(law0, moves, u[::2])[:100]
+        observed = refkit.compared(np.cumsum(hmm_params.emission, axis=1)[hidden], u[1::2])
         h, o = fk.hmm_generate(hmm_params, 100, seed=7)
-        assert (h.tolist(), o.tolist()) == (hidden, observed)
+        assert (h.tolist(), o.tolist()) == (hidden.tolist(), observed.tolist())
 
     def test_deterministic(self, hmm_params):
         a = fk.hmm_generate(hmm_params, 100, seed=7)

@@ -17,7 +17,9 @@ the bits, are named here and left out:
 
 The engine mutants run the law tests of ``test_law`` on its rows, whose
 laws ``lawkit`` builds by hand and whose models are built fresh, so the
-patched code builds every sampling table the engine reads.
+patched code builds every sampling table the engine reads.  The
+exact-layer mutants run tests whose expected values come from ``refkit``,
+which imports nothing from fkclt, so no patch reaches them.
 """
 
 from __future__ import annotations
@@ -35,11 +37,13 @@ import fkclt.randenv
 from fkclt import models
 from fkclt.core import _categorical_thresholds, _cov_raw
 from fkclt.oracle import _KahanSum, _kept_flow, _stack
+from numpy.lib.stride_tricks import sliding_window_view
 
 import test_engine
 import test_law
 import test_models
 import test_oracle
+import test_randenv
 
 MULTI = fk.KernelChoice.MULTINOMIAL
 TRANS = fk.KernelChoice.TRANSPORT
@@ -141,6 +145,54 @@ def approximate_hmm_env_chain(params):
             (params.transition, fk.Potential(e[:, s])) for s in range(params.symbol_count)
         ),
     )
+
+
+def row_sum_flow(product):
+    """``randenv._flow`` carrying the uniform law by the row sums Q 1 in
+    place of 1^T Q."""
+    w = product.sum(axis=-1)
+    return w / w.sum(axis=-1, keepdims=True)
+
+
+def uniform_mean_limit(product, g_last, eta):
+    """``oracle._limit_function`` scaled to mean one under the uniform
+    weights in place of eta."""
+    u = (product @ g_last[..., None])[..., 0]
+    return u / u.mean(axis=-1, keepdims=True)
+
+
+def reversed_pair_products(stack):
+    """``oracle._ordered_products`` multiplying each neighbouring pair in
+    reverse order, A_1 A_0 in place of A_0 A_1."""
+    b, k, d, _ = stack.shape
+    if k == 0:
+        return np.broadcast_to(np.eye(d), (b, d, d))
+    while k > 1:
+        paired = stack[:, 1::2] @ stack[:, 0 : k - 1 : 2]
+        paired /= paired.reshape(b, -1, d * d).max(axis=2)[..., None, None]
+        if k % 2:
+            paired = np.concatenate([paired, stack[:, k - 1 :]], axis=1)
+        stack = paired
+        k = stack.shape[1]
+    return stack[:, 0]
+
+
+def late_measure_contributions(chain, choice, y, first, last, depth):
+    """``randenv._contributions`` taking the backward limit at p as the
+    covariance measure, where the one at p - 1 belongs."""
+    b = last - first + 1
+    states = y.window(first - 1 - depth, last + depth - 1)
+    factors = chain.factors(states)
+    windows = np.moveaxis(sliding_window_view(factors[1:], depth - 1, axis=0), -1, 1)
+    if b < depth:
+        windows = np.concatenate([windows[:b], windows[depth:]])
+    products = fkclt.oracle._ordered_products(windows)
+    shared, tail = products[:b], products[-b:]
+    eta = fkclt.randenv._flow(shared @ factors[depth : depth + b])
+    h = fkclt.oracle._limit_function(tail, chain._G[states[2 * depth :]], eta)
+    G = chain._G[states[depth : depth + b]]
+    M = chain._M[states[depth + 1 : depth + 1 + b]]
+    return _cov_raw(choice, eta, G, M, h, h)
 
 
 def next_count_p(name, choice):
@@ -245,3 +297,32 @@ def test_v_n_covariance_index_off_by_one(monkeypatch):
     monkeypatch.setattr(fk, "v_n", v_n_column_one_early)
     with pytest.raises(AssertionError):
         test_oracle.TestVnReference().test_random_models(3)
+
+
+def test_flow_by_row_sums(monkeypatch):
+    # Rejected by the kit's flows from the uniform law.
+    monkeypatch.setattr(fkclt.randenv, "_flow", row_sum_flow)
+    with pytest.raises(AssertionError):
+        test_randenv.TestReferenceLoops().test_backward_limits_match_loops(3, 2, 7)
+
+
+def test_limit_function_under_uniform_weights(monkeypatch):
+    # Rejected by the kit's backward columns, each of mean one under its
+    # own flow measure.
+    monkeypatch.setattr(fkclt.oracle, "_limit_function", uniform_mean_limit)
+    with pytest.raises(AssertionError):
+        test_oracle.TestSemigroupReference().test_qbar_pn_one(3)
+
+
+def test_ordered_products_in_reverse_pairs(monkeypatch):
+    # Rejected by the kit's ordered products, formed one factor at a time.
+    monkeypatch.setattr(fkclt.oracle, "_ordered_products", reversed_pair_products)
+    with pytest.raises(AssertionError):
+        test_oracle.TestSemigroupReference().test_markov_pn(3)
+
+
+def test_covariance_under_the_late_measure(monkeypatch):
+    # Rejected by the kit's covariance under eta_inf(p - 1).
+    monkeypatch.setattr(fkclt.randenv, "_contributions", late_measure_contributions)
+    with pytest.raises(AssertionError):
+        test_randenv.TestReferenceLoops().test_backward_limits_match_loops(3, 2, 7)

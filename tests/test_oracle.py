@@ -10,10 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fkclt as fk
+import refkit
 from fkclt import oracle
 from fkclt.core import DimensionMismatch, InvalidModel, ScheduleExhausted
 
-from conftest import random_chain, random_explicit_model, random_model
+from conftest import random_chain, random_explicit_model, random_model, stack
 
 
 MULTI = fk.KernelChoice.MULTINOMIAL
@@ -53,19 +54,16 @@ class TestPropagate:
             assert abs(inc - math.log(sol.potential_means[p])) <= 1e-12
 
     def test_multiplicative_consistency_random_models(self):
-        # gamma_n(1) against the brute-force matrix product, written out here
-        # rather than through any package routine.
+        # gamma_n(1) = eta_0(Q_0 ... Q_{n-1} 1), the unscaled matrix product
+        # applied backward by the kit.
         rng = np.random.default_rng(101)
         for _ in range(15):
             d = int(rng.integers(2, 7))
             model = random_model(rng, d)
             n = int(rng.integers(1, 31))
             sol = fk.propagate(model, n)
-            step = model.step(0)
-            vec = model.eta0.weights.copy()
-            for _ in range(n):
-                vec = (vec * step.G.values) @ step.M.rows
-            brute = float(vec.sum())
+            Q = refkit.factors(*stack(model, 0, n))
+            brute = float(model.eta0.weights @ refkit.columns(Q, np.ones(d))[0])
             assert abs(math.exp(sol.log_gammas[-1]) - brute) <= 1e-12 * abs(brute)
 
 
@@ -287,53 +285,14 @@ class TestVn:
         assert fk.sigma2_homogeneous(homogeneous, TRANS) <= bound
 
 
-def reference_v_n(model, choice, n):
-    """v_n one term at a time, on plain numpy: the flow step by step (reweight,
-    kernel, clip at 0, divide by the sum), the eta_q-mean-one backward
-    columns, each covariance term from its own tiled or mixed kernel rows,
-    and a compensated sum in index order."""
-    if n == 0:
-        return 0.0
-    etas = [model.eta0.weights]
-    for p in range(n):
-        step = model.step(p)
-        w = etas[p] * step.G.values
-        w = np.clip((w / w.sum()) @ step.M.rows, 0.0, None)
-        etas.append(w / w.sum())
-    ubars = [None] * n
-    u = np.ones(model.d)
-    for q in range(n - 1, -1, -1):
-        step = model.step(q)
-        u = (step.G.values[:, None] * step.M.rows) @ u
-        u = u / float(etas[q] @ u)
-        ubars[q] = u
-    terms = [float(etas[0] @ ((ubars[0] - 1.0) * (ubars[0] - 1.0)))]
-    for q in range(1, n):
-        step = model.step(q - 1)
-        g, m, f = step.G.values, step.M.rows, ubars[q]
-        w = etas[q - 1] * g
-        phi = (w / w.sum()) @ m
-        if choice is MULTI:
-            rows = np.tile(phi, (model.d, 1))
-        else:
-            rows = g[:, None] * m + (1.0 - g)[:, None] * phi[None, :]
-        k1, k2, k12 = rows @ f, rows @ f, rows @ (f * f)
-        terms.append(float(etas[q - 1] @ (k12 - k1 * k2)))
-    total, c = 0.0, 0.0
-    for x in terms:
-        y = x - c
-        t = total + y
-        c = (t - total) - y
-        total = t
-    return max(total, 0.0)
-
-
 class TestVnReference:
     @pytest.mark.parametrize("choice", list(fk.KernelChoice))
     def test_two_state_bit_for_bit(self, two_state, choice):
         # These bits feed the pinned benchmark reports.
+        G, M = stack(two_state, 0, 200)
         for n in range(201):
-            assert fk.v_n(two_state, choice, n) == reference_v_n(two_state, choice, n)
+            want = refkit.v_n(two_state.eta0.weights, G[:n], M[:n], choice is TRANS)
+            assert fk.v_n(two_state, choice, n) == want
 
     @pytest.mark.parametrize("d", [1, 2, 3, 5])
     def test_random_models(self, d):
@@ -341,96 +300,23 @@ class TestVnReference:
         models = [random_model(rng, d, transport_safe=True) for _ in range(3)]
         models += [random_explicit_model(rng, d, 40) for _ in range(3)]
         for model in models:
+            G, M = stack(model, 0, 40)
             for choice in fk.KernelChoice:
                 for n in (0, 1, 2, 3, 7, 40):
-                    got, want = fk.v_n(model, choice, n), reference_v_n(model, choice, n)
-                    assert abs(got - want) <= 1e-13 * abs(want)
+                    want = refkit.v_n(model.eta0.weights, G[:n], M[:n], choice is TRANS)
+                    assert abs(fk.v_n(model, choice, n) - want) <= 1e-13 * abs(want)
 
 
-def reference_factor(model, q):
-    step = model.step(q)
-    return step.G.values[:, None] * step.M.rows
+def window(model, p, n):
+    """The kit's factors Q_p .. Q_{n-1} and flow eta_0 .. eta_n of a model."""
+    G, M = stack(model, 0, n)
+    return refkit.factors(G[p:], M[p:]), refkit.flow(model.eta0.weights, G, M)
 
 
-def reference_eta(model, p):
-    """eta_p by the flow step by step: reweight, kernel, clip at 0, divide by the sum."""
-    eta = model.eta0.weights
-    for q in range(p):
-        step = model.step(q)
-        w = eta * step.G.values
-        w = np.clip((w / w.sum()) @ step.M.rows, 0.0, None)
-        eta = w / w.sum()
-    return eta
-
-
-# Reference loops for the semigroup family: one factor at a time, rescaled
-# at every step, with no stacking and no pairing of products.
-
-def reference_q_pn_apply(model, p, n, f):
-    u = np.array(f, dtype=float)
-    for q in range(n - 1, p - 1, -1):
-        u = reference_factor(model, q) @ u
-    return u
-
-
-def reference_qbar_pn_one(model, p, n):
-    eta_p = reference_eta(model, p)
-    u = np.ones(model.d)
-    for q in range(n - 1, p - 1, -1):
-        u = reference_factor(model, q) @ u
-        u = u / u.max()
-    return u / float(eta_p @ u)
-
-
-def reference_d_pn(model, p, n, f):
-    values = np.asarray(f, dtype=float)
-    centered = values - float(reference_eta(model, n) @ values)
-    stack = np.vstack([centered, np.ones(model.d)])
-    for q in range(n - 1, p - 1, -1):
-        stack = stack @ reference_factor(model, q).T
-        stack = stack / np.abs(stack).max()
-    return stack[0] / float(reference_eta(model, p) @ stack[1])
-
-
-def reference_qbar_apply(model, p, n, g):
-    """Q_bar_{p,n}(g) for g >= 0: the size of the terms of Q_bar_{p,n}(f) when
-    g = |f|."""
-    stack = np.vstack([g, np.ones(model.d)])
-    for q in range(n - 1, p - 1, -1):
-        stack = stack @ reference_factor(model, q).T
-        stack = stack / stack.max()
-    return stack[0] / float(reference_eta(model, p) @ stack[1])
-
-
-def reference_markov_pn(model, p, n):
-    Q = np.eye(model.d)
-    for q in range(p, n):
-        Q = Q @ reference_factor(model, q)
-        Q = Q / Q.max()
-    return Q / Q.sum(axis=1, keepdims=True)
-
-
-def reference_qbar_p_inf(model, p, depth):
-    u = model.step(p + depth - 1).G.values
-    for q in range(p + depth - 2, p - 1, -1):
-        u = reference_factor(model, q) @ u
-        u = u / u.max()
-    return u / float(reference_eta(model, p) @ u)
-
-
-def reference_profile(model, n_max):
-    """(beta_profile, g_profile, g) of ``contraction_profile``."""
-    Q = np.eye(model.d)
-    betas, g_values, g_pot = [], [], 1.0
-    for n in range(1, n_max + 1):
-        step = model.step(n - 1)
-        g_pot = max(g_pot, step.G.ratio)
-        Q = Q @ (step.G.values[:, None] * step.M.rows)
-        Q = Q / Q.max()
-        row_sums = Q.sum(axis=1)
-        betas.append(fk.dobrushin(fk.StochasticKernel(Q / row_sums[:, None])))
-        g_values.append(float(row_sums.max() / row_sums.min()))
-    return betas, g_values, g_pot
+def qbar_one(model, p, n):
+    """Qbar_{p,n}(1): the kit's backward columns from 1, each of mean one."""
+    Q, etas = window(model, p, n)
+    return refkit.columns(Q, np.ones(model.d), etas[p:n])[0]
 
 
 def assert_within(got, want, scale, rtol=1e-12):
@@ -475,8 +361,9 @@ class TestSemigroupReference:
             for p in (0, 3):
                 for lag in FAMILY_LAGS:
                     f = rng.normal(size=d)
-                    want = reference_q_pn_apply(model, p, p + lag, f)
-                    scale = reference_q_pn_apply(model, p, p + lag, np.abs(f))
+                    Q = refkit.factors(*stack(model, p, p + lag))
+                    want = refkit.columns(Q, f)[0]
+                    scale = refkit.columns(Q, np.abs(f))[0]
                     assert_within(fk.q_pn_apply(model, p, p + lag, f).values, want, scale)
 
     @pytest.mark.parametrize("d", FAMILY_DIMS)
@@ -484,7 +371,7 @@ class TestSemigroupReference:
         for model in family_models(d).values():
             for p in (0, 3):
                 for lag in FAMILY_LAGS:
-                    want = reference_qbar_pn_one(model, p, p + lag)
+                    want = qbar_one(model, p, p + lag)
                     assert_within(fk.qbar_pn_one(model, p, p + lag).values, want, want)
 
     @pytest.mark.parametrize("d", FAMILY_DIMS)
@@ -495,9 +382,11 @@ class TestSemigroupReference:
                 for lag in FAMILY_LAGS:
                     n = p + lag
                     f = rng.normal(size=d)
-                    want = reference_d_pn(model, p, n, f)
-                    centered = np.abs(f - float(reference_eta(model, n) @ f))
-                    scale = reference_qbar_apply(model, p, n, centered)
+                    Q, etas = window(model, p, n)
+                    P = refkit.products(Q)[-1]
+                    centered = f - float(etas[n] @ f)
+                    mass = float(etas[p] @ P.sum(axis=1))
+                    want, scale = P @ centered / mass, P @ np.abs(centered) / mass
                     assert_within(fk.d_pn(model, p, n, f).values, want, scale)
 
     @pytest.mark.parametrize("d", FAMILY_DIMS)
@@ -505,7 +394,8 @@ class TestSemigroupReference:
         for model in family_models(d).values():
             for p in (0, 3):
                 for lag in FAMILY_LAGS:
-                    want = reference_markov_pn(model, p, p + lag)
+                    P = refkit.products(window(model, p, p + lag)[0])[-1]
+                    want = P / P.sum(axis=1, keepdims=True)
                     assert_within(fk.markov_pn(model, p, p + lag).rows, want, want)
 
     @pytest.mark.parametrize("d", FAMILY_DIMS)
@@ -513,7 +403,7 @@ class TestSemigroupReference:
         for model in family_models(d).values():
             for p in (0, 3):
                 for depth in FAMILY_LAGS[1:]:
-                    want = reference_qbar_p_inf(model, p, depth)
+                    want = qbar_one(model, p, p + depth)
                     assert_within(fk.qbar_p_inf(model, p, depth).values, want, want)
 
     @pytest.mark.parametrize("d", FAMILY_DIMS)
@@ -521,7 +411,12 @@ class TestSemigroupReference:
         for model in family_models(d).values():
             for n_max in (2, 7, 40):
                 bounds = fk.contraction_profile(model, n_max)
-                betas, g_values, g_pot = reference_profile(model, n_max)
+                G, M = stack(model, 0, n_max)
+                P = refkit.products(refkit.factors(G, M))[1:]
+                sums = P.sum(axis=2)
+                betas = [refkit.dobrushin(Pn / s[:, None]) for Pn, s in zip(P, sums)]
+                g_values = sums.max(axis=1) / sums.min(axis=1)
+                g_pot = max(1.0, float((G.max(axis=1) / G.min(axis=1)).max()))
                 # A coefficient is a difference of probabilities: terms of size <= 1.
                 assert_within(bounds.beta_profile, betas, np.ones(n_max))
                 assert_within(bounds.g_profile, g_values, g_values)
@@ -644,13 +539,10 @@ class TestLongHorizon:
         assert np.all(np.isfinite(etas)) and np.all(etas >= 0.0)
         assert np.allclose(etas.sum(axis=1), 1.0, rtol=0, atol=1e-12)
         assert all(math.isfinite(x) for x in sol.log_gammas)
-        # The log-domain product of potential means against an unnormalized
-        # forward recursion, rescaled by hand.
-        vec, log_scale = np.array([0.5, 0.5]), 0.0
-        for _ in range(n):
-            vec = (vec * np.array(G)) @ M.rows
-            log_scale += math.log(vec.sum())
-            vec = vec / vec.sum()
+        # log gamma_n = sum_p log eta_p(G_p) along the kit's flow.
+        Gs, Ms = stack(model, 0, n)
+        etas = refkit.flow(model.eta0.weights, Gs, Ms)
+        log_scale = float(np.log((etas[:-1] * Gs).sum(axis=1)).sum())
         assert abs(sol.log_gammas[-1] - log_scale) <= 1e-10 * abs(log_scale)
         for choice in fk.KernelChoice:
             value = fk.v_n(model, choice, 2000)
@@ -680,10 +572,19 @@ class TestLongHorizon:
         qbar = fk.qbar_pn_one(model, p, n).values
         P = fk.markov_pn(model, p, n).rows
         assert np.all(np.isfinite(qbar)) and np.all(np.isfinite(P))
-        want = reference_qbar_pn_one(model, p, n)
+        want = qbar_one(model, p, n)
         assert_within(qbar, want, want)
-        want = reference_markov_pn(model, p, n)
+        product = refkit.products(window(model, p, n)[0])[-1]
+        want = product / product.sum(axis=1, keepdims=True)
         assert_within(P, want, want)
+
+
+def top_left_eigenvector(model):
+    """Independent route to eta_inf: the left principal eigenvector of
+    diag(G) M by numpy's full eigendecomposition, scaled to sum one."""
+    vals, vecs = np.linalg.eig(refkit.factors(*stack(model, 0, 1))[0].T)
+    pi = np.abs(vecs[:, np.argmax(vals.real)].real)
+    return pi / pi.sum()
 
 
 class TestFixedPoint:
@@ -700,14 +601,7 @@ class TestFixedPoint:
         np.testing.assert_allclose(eta_inf.weights, pi.weights, atol=1e-11)
 
     def test_two_state_against_eig(self, two_state):
-        # Independent route: left principal eigenvector of diag(G) M via
-        # numpy's full eigendecomposition.
-        step = two_state.step(0)
-        Q = step.G.values[:, None] * step.M.rows
-        vals, vecs = np.linalg.eig(Q.T)
-        top = np.argmax(vals.real)
-        pi = np.abs(vecs[:, top].real)
-        pi /= pi.sum()
+        pi = top_left_eigenvector(two_state)
         eta_inf = fk.fixed_point_eta_inf(two_state)
         np.testing.assert_allclose(eta_inf.weights, pi, atol=1e-10)
         np.testing.assert_allclose(eta_inf.weights, [0.509881, 0.490119], atol=1e-6)
@@ -723,12 +617,7 @@ class TestFixedPoint:
         for _ in range(10):
             d = int(rng.integers(2, 6))
             model = random_model(rng, d)
-            step = model.step(0)
-            Q = step.G.values[:, None] * step.M.rows
-            vals, vecs = np.linalg.eig(Q.T)
-            top = np.argmax(vals.real)
-            pi = np.abs(vecs[:, top].real)
-            pi /= pi.sum()
+            pi = top_left_eigenvector(model)
             np.testing.assert_allclose(fk.fixed_point_eta_inf(model).weights, pi, atol=1e-10)
 
     def test_requires_homogeneous(self, two_state):

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import json
 import math
+import pathlib
 import pickle
 import tracemalloc
 import warnings
@@ -9,14 +11,17 @@ import numpy as np
 import pytest
 
 import fkclt as fk
-from fkclt import randenv
+import refkit
+from fkclt import cli, randenv
 from fkclt.core import FKError, InvalidModel, _cov_raw
+from fkclt.engine import derive_seed
 from fkclt.oracle import _limit_function, _ordered_products
 from fkclt.randenv import BLOCK_FACTOR_ENTRIES, WindowTooShort, EnvironmentSchedule, _flow
 
-from conftest import random_chain
+from conftest import random_chain, stack, uniforms
 
 MULTI = fk.KernelChoice.MULTINOMIAL
+TRANS = fk.KernelChoice.TRANSPORT
 
 
 def single_state_chain(M, G):
@@ -27,54 +32,16 @@ def single_state_chain(M, G):
     )
 
 
-# Reference loops: the step-by-step forms of the backward limits, which the
-# product forms must reproduce.
-
-
-def ref_flow(chain, y, position, depth):
-    """Normalized flow from the uniform law at position - depth."""
-    mu = np.full(chain.state_dim, 1.0 / chain.state_dim)
-    for q in range(position - depth, position):
-        w = mu * chain.potential(y.state(q)).values
-        mu = (w / w.sum()) @ chain.kernel(y.state(q + 1)).rows
-    return mu
-
-
-def ref_log_series(base_w, potentials, kernels):
-    """exp of the log series: term q compares the lag-q potential means of the
-    flows started at each point mass and at base_w; kernels[q] moves lag q to
-    lag q + 1."""
-    d = base_w.size
-    stack = np.vstack([np.eye(d), base_w])
-    logs = np.zeros(d)
-    for q, g in enumerate(potentials):
-        if q:
-            stack = (weighted / denoms[:, None]) @ kernels[q - 1]
-        weighted = stack * g[None, :]
-        denoms = weighted.sum(axis=1)
-        logs += np.log(denoms[:d]) - math.log(denoms[d])
-    return np.exp(logs)
-
-
-def ref_h(chain, y, position, depth):
-    states = [y.state(position + offset) for offset in range(depth)]
-    return ref_log_series(
-        ref_flow(chain, y, position, depth),
-        [chain.potential(s).values for s in states],
-        [chain.kernel(s).rows for s in states[1:]],
-    )
-
-
-def ref_c(chain, choice, y, position, depth):
-    h = ref_h(chain, y, position, depth)
-    return fk.cov_operator(
-        choice,
-        fk.ProbMeasure(ref_flow(chain, y, position - 1, depth)),
-        chain.potential(y.state(position - 1)),
-        chain.kernel(y.state(position)),
-        h,
-        h,
-    )
+def kit_limits(chain, y, position, depth, transport):
+    """(eta_inf, h, c) at ``position`` by the kit: flows from the uniform
+    law ``depth`` steps back, the log series at eta_inf, the covariance."""
+    # Row j of G and M is step position - 1 - depth + j.
+    G, M = stack(fk.env_model(chain, y), position - 1 - depth, position + depth)
+    uniform = np.full(chain.state_dim, 1.0 / chain.state_dim)
+    mu = refkit.flow(uniform, G[:depth], M[:depth])[-1]
+    eta = refkit.flow(uniform, G[1 : depth + 1], M[1 : depth + 1])[-1]
+    h = refkit.log_series(eta, G[depth + 1 :], M[depth + 1 : -1])
+    return eta, h, refkit.cov(mu, G[depth], M[depth], transport, h, h)
 
 
 def last_axis_max_products(stack):
@@ -93,15 +60,6 @@ def last_axis_max_products(stack):
         stack = paired
         k = stack.shape[1]
     return stack[:, 0]
-
-
-def ref_product(stack):
-    """Left-to-right product of a (k, d, d) stack, scaled to max 1 per step."""
-    out = np.eye(stack.shape[1])
-    for factor in stack:
-        out = out @ factor
-        out = out / out.max()
-    return out
 
 
 class TestConstruction:
@@ -164,16 +122,11 @@ class TestPaths:
         np.testing.assert_array_equal(a.states, b.states)
 
     def test_matches_scalar_draw_loop(self, env_chain):
-        # Reference: one scalar uniform per state, binary search on its CDF.
-        gen = np.random.Generator(np.random.PCG64(11))
-        cum_rows = np.cumsum(env_chain.transition.rows, axis=1)
-        x = int(np.searchsorted(np.cumsum(env_chain.stationary.weights), gen.random()))
-        expected = [x]
-        for _ in range(60):
-            x = min(int(np.searchsorted(cum_rows[x], gen.random())), 1)
-            expected.append(x)
+        # Reference: one uniform per state, binary search on its CDF.
+        law0, moves = env_chain.stationary.weights, env_chain.transition.rows
+        expected = refkit.chain_path(law0, moves, uniforms(11, 61))
         path = fk.sample_env_path(env_chain, past=10, horizon=50, seed=11)
-        assert path.states.tolist() == expected
+        assert path.states.tolist() == expected.tolist()
 
     def test_window_bounds(self, env_chain):
         path = fk.sample_env_path(env_chain, past=4, horizon=6, seed=1)
@@ -241,16 +194,12 @@ class TestEtaInfEnv:
         path = fk.sample_env_path(period2_chain, past=80, horizon=10, seed=5)
         parity = path.state(0)
         even = fk.eta_inf_env(period2_chain, path, 0, depth=60)
-        # Independent route: iterate the two-step composition to its fixed
-        # point, starting anywhere.
-        G0 = period2_chain.potential(parity)
-        M0 = period2_chain.kernel(1 - parity)
-        G1 = period2_chain.potential(1 - parity)
-        M1 = period2_chain.kernel(parity)
-        mu = fk.ProbMeasure.uniform(2)
-        for _ in range(200):
-            mu = fk.phi_step(fk.phi_step(mu, G0, M0), G1, M1)
-        assert fk.total_variation(even, mu) <= 1e-12
+        # Independent route: the kit's flow through 200 two-step compositions,
+        # started anywhere.
+        G = [period2_chain.potential(s).values for s in (parity, 1 - parity)] * 200
+        M = [period2_chain.kernel(s).rows for s in (1 - parity, parity)] * 200
+        mu = refkit.flow(np.full(2, 0.5), G, M)[-1]
+        assert fk.total_variation(even, fk.ProbMeasure(mu)) <= 1e-12
 
     def test_propagates_one_step(self, env_chain):
         path = fk.sample_env_path(env_chain, past=60, horizon=20, seed=6)
@@ -645,7 +594,7 @@ class TestReadAhead:
 
 
 class TestReferenceLoops:
-    """The product forms against the step-by-step loops they replaced."""
+    """The product forms against the kit's step-by-step loops."""
 
     @pytest.mark.parametrize("depth", [1, 2, 3, 7, 40])
     @pytest.mark.parametrize("env_size", [1, 2, 3])
@@ -656,29 +605,20 @@ class TestReferenceLoops:
         path = fk.sample_env_path(chain, past=depth + 2, horizon=depth + 6, seed=depth)
         model = fk.env_model(chain, path.shift(-depth - 2))
         for p in (0, 1, 3):
-            np.testing.assert_allclose(
-                fk.eta_inf_env(chain, path, p, depth).weights,
-                ref_flow(chain, path, p, depth),
-                rtol=1e-12, atol=0,
-            )
-            np.testing.assert_allclose(
-                fk.h_env(chain, path, p, depth).values,
-                ref_h(chain, path, p, depth),
-                rtol=1e-12, atol=0,
-            )
             for choice in fk.KernelChoice:
-                assert fk.c_of_y(chain, choice, path, p, depth) == pytest.approx(
-                    ref_c(chain, choice, path, p, depth), rel=1e-12, abs=0
-                )
+                eta, h, c = kit_limits(chain, path, p, depth, choice is TRANS)
+                got = fk.c_of_y(chain, choice, path, p, depth)
+                assert got == pytest.approx(c, rel=1e-12, abs=0)
+            got = fk.eta_inf_env(chain, path, p, depth).weights
+            np.testing.assert_allclose(got, eta, rtol=1e-12, atol=0)
+            got = fk.h_env(chain, path, p, depth).values
+            np.testing.assert_allclose(got, h, rtol=1e-12, atol=0)
             q = p + depth + 2  # the same absolute index on the model's clock
-            steps = [model.step(q + offset) for offset in range(depth)]
+            G, M = stack(model, 0, q + depth)
+            base = refkit.flow(model.eta0.weights, G[:q], M[:q])[q]
             np.testing.assert_allclose(
                 fk.qbar_p_inf(model, q, depth).values,
-                ref_log_series(
-                    fk.propagate(model, q).etas[q].weights,
-                    [s.G.values for s in steps],
-                    [s.M.rows for s in steps[:-1]],
-                ),
+                refkit.log_series(base, G[q:], M[q:-1]),
                 rtol=1e-12, atol=0,
             )
 
@@ -697,7 +637,8 @@ class TestReferenceLoops:
         for choice in fk.KernelChoice:
             value = fk.c_of_y(chain, choice, path, 1, depth=1000)
             assert math.isfinite(value)
-            assert value == pytest.approx(ref_c(chain, choice, path, 1, 1000), rel=1e-12, abs=0)
+            want = kit_limits(chain, path, 1, 1000, choice is TRANS)[2]
+            assert value == pytest.approx(want, rel=1e-12, abs=0)
 
 
 class TestOrderedProducts:
@@ -715,7 +656,7 @@ class TestOrderedProducts:
         stack = np.random.default_rng(k).random((2, k, 3, 3))
         out = _ordered_products(stack)
         for b in range(2):
-            ref = ref_product(stack[b])
+            ref = refkit.products(stack[b])[-1]
             np.testing.assert_allclose(out[b] / out[b].max(), ref, rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("b", [1, 7])
@@ -750,7 +691,7 @@ class TestOrderedProducts:
         stack = 1e-3 * rng.dirichlet(np.ones(3), size=(1, 1000, 3))
         out = _ordered_products(stack)[0]
         assert np.all(np.isfinite(out)) and out.max() == 1.0
-        np.testing.assert_allclose(out, ref_product(stack[0]), rtol=1e-12, atol=0)
+        np.testing.assert_allclose(out, refkit.products(stack[0])[-1], rtol=1e-12, atol=0)
 
 
 class TestSigma2Env:
@@ -798,3 +739,32 @@ class TestErgodicRemainder:
                 fk.c_of_y(env_chain, MULTI, path, p, depth=40) for p in range(1, n)
             )
             assert abs(v / n - c_sum / n) <= FROZEN_C / n
+
+
+class TestQuenchedSpread:
+    """The quenched v_n(y)/n over a fixed set of paths of the environment
+    config, under the multinomial kernel: its spread shrinks about as
+    n^(-1/2), and at the longest horizon its mean is sigma^2_env."""
+
+    PATHS = 64
+    HORIZONS = (64, 256, 1024)
+
+    def test_spread_shrinks_and_mean_is_sigma2_env(self):
+        config = pathlib.Path(__file__).resolve().parents[1] / "configs" / "env_two_state.json"
+        chain = cli._build_model(json.loads(config.read_text()), str(config))[1]
+        paths = [
+            fk.sample_env_path(chain, 0, self.HORIZONS[-1], derive_seed(7001, k))
+            for k in range(self.PATHS)
+        ]
+        models = [fk.env_model(chain, path) for path in paths]
+        rates = np.array([[fk.v_n(model, MULTI, n) / n for n in self.HORIZONS] for model in models])
+        sd = rates.std(axis=0, ddof=1)
+        # Each 4x step in n would shrink an n^(-1/2) spread 2x.
+        assert np.all((sd[:-1] / sd[1:] >= 1.5) & (sd[:-1] / sd[1:] <= 2.8)), sd
+        sigma2, se = fk.sigma2_env(chain, MULTI, horizon=10**5, depth=40, seed=2027)
+        combined = math.hypot(sd[-1] / math.sqrt(self.PATHS), se)
+        assert abs(rates[:, -1].mean() - sigma2) <= 3 * combined, (rates[:, -1].mean(), sigma2)
+        for model in models[:2]:
+            G, M = stack(model, 0, self.HORIZONS[0])
+            want = refkit.v_n(model.eta0.weights, G, M, False)
+            assert abs(fk.v_n(model, MULTI, self.HORIZONS[0]) - want) <= 1e-13 * want
