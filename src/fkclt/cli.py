@@ -30,7 +30,7 @@ import numpy as np
 
 from . import models as app_models
 from . import oracle, randenv
-from .core import FKError, InvalidModel, KernelChoice, Potential, ProbMeasure, StochasticKernel
+from .core import FKError, KernelChoice, Potential, ProbMeasure, StochasticKernel
 from .core import homogeneous_model, total_variation
 from .engine import derive_seed, run
 from .harness import (
@@ -83,8 +83,10 @@ def _json_safe(obj):
     return obj
 
 
-def _dump_json(obj) -> str:
-    return json.dumps(_json_safe(obj), indent=2, sort_keys=True) + "\n"
+def _dump_json(report: dict) -> str:
+    """A report as JSON, stamped with the schema version."""
+    stamped = {**report, "schema": SCHEMA_VERSION}
+    return json.dumps(_json_safe(stamped), indent=2, sort_keys=True) + "\n"
 
 
 def _write_atomic(path: str, text: str) -> None:
@@ -190,7 +192,7 @@ def _build_model(obj: dict, path: str) -> tuple:
         )
         eta0 = ProbMeasure(obj["eta0"]) if "eta0" in obj else None
         return kind, chain, eta0
-    except (InvalidModel, FKError) as exc:
+    except FKError as exc:
         raise CliError(EXIT_MODEL, f"invalid model in {path!r}: {exc}") from exc
     except (TypeError, ValueError) as exc:
         raise CliError(EXIT_SCHEMA, f"malformed value in {path!r}: {exc}") from exc
@@ -315,19 +317,19 @@ def _env_path_model(cfg: argparse.Namespace):
 
 
 def _materialize(cfg: argparse.Namespace) -> tuple:
-    """Resolve the configured model into (FKModel, v_n target, sigma2)."""
+    """Resolve the configured model into (FKModel, v_n target, sigma2).  The
+    target is the exact v_n of the model the replicates run on, for an
+    environment model that of its sampled path (the quenched target); its
+    sigma2 is the ergodic average, from an independent stream."""
     if cfg.model_kind == "homogeneous":
         model = cfg.model
-        target = oracle.v_n(model, cfg.kernel, cfg.n)
         sigma2 = oracle.sigma2_homogeneous(model, cfg.kernel)
-        return model, target, sigma2
-    # Environment model: one path for the particle runs, an independent
-    # stream for the ergodic variance average.
-    model = _env_path_model(cfg)
-    sigma2, _ = randenv.sigma2_env(
-        cfg.model, cfg.kernel, cfg.horizon, cfg.depth, seed=derive_seed(cfg.seed, _LANE_SIGMA)
-    )
-    return model, cfg.n * sigma2, sigma2
+    else:
+        model = _env_path_model(cfg)
+        sigma2, _ = randenv.sigma2_env(
+            cfg.model, cfg.kernel, cfg.horizon, cfg.depth, seed=derive_seed(cfg.seed, _LANE_SIGMA)
+        )
+    return model, oracle.v_n(model, cfg.kernel, cfg.n), sigma2
 
 
 def cmd_oracle(cfg: argparse.Namespace) -> int:
@@ -351,7 +353,6 @@ def cmd_run(cfg: argparse.Namespace) -> int:
 
 def _clt_report_json(cfg: argparse.Namespace, report: CltReport, sigma2) -> dict:
     return {
-        "schema": SCHEMA_VERSION,
         "n": cfg.n,
         "N": cfg.N,
         "alpha": cfg.n / cfg.N,
@@ -392,7 +393,6 @@ def cmd_fixed_n_clt(cfg: argparse.Namespace) -> int:
     )
     verdict = fixed_n_verdict(rows)
     report = {
-        "schema": SCHEMA_VERSION,
         "n": cfg.n,
         "R": cfg.reps,
         "rows": rows,
@@ -407,7 +407,6 @@ def cmd_env_sigma2(cfg: argparse.Namespace) -> int:
         cfg.model, cfg.kernel, cfg.horizon, cfg.depth, cfg.seed
     )
     report = {
-        "schema": SCHEMA_VERSION,
         "kernel": cfg.kernel.value,
         "horizon": cfg.horizon,
         "depth": cfg.depth,
@@ -422,10 +421,7 @@ def cmd_env_sigma2(cfg: argparse.Namespace) -> int:
 def cmd_qsd(cfg: argparse.Namespace) -> int:
     model = cfg.model
     step = model.step(0)
-    try:
-        absorption = app_models.AbsorptionModel(step.M, step.G, model.eta0)
-    except InvalidModel as exc:
-        raise CliError(EXIT_MODEL, str(exc)) from exc
+    absorption = app_models.AbsorptionModel(step.M, step.G, model.eta0)
     sol = oracle.propagate(model, cfg.n)
     eta_inf = oracle.fixed_point_eta_inf(model)
     survival = app_models.survival_mc_table(
@@ -458,7 +454,6 @@ def cmd_hmm(cfg: argparse.Namespace) -> int:
     z, unbiased_ok = unbiasedness_check([r.gamma_bar for r in records])
     agreement_ok = rel_diff <= 1e-12
     report = {
-        "schema": SCHEMA_VERSION,
         "n": cfg.n,
         "N": cfg.N,
         "R": cfg.reps,

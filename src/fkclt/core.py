@@ -30,9 +30,8 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-# Probability vectors and kernel rows are renormalized at construction and
-# then obey the 1e-12 tolerance; inputs further off than 1e-9 are rejected.
-PROB_ATOL = 1e-12
+# Probability vectors and kernel rows further off than this from a probability
+# row are rejected; the rest are clipped at 0 and renormalized at construction.
 INPUT_ATOL = 1e-9
 
 
@@ -173,10 +172,6 @@ class FunctionVector:
     def d(self) -> int:
         return self.values.size
 
-    @property
-    def oscillation(self) -> float:
-        return float(self.values.max() - self.values.min())
-
     @classmethod
     def indicator(cls, d: int, x: int) -> "FunctionVector":
         v = np.zeros(d)
@@ -223,11 +218,6 @@ class Potential:
     @property
     def d(self) -> int:
         return self.values.size
-
-    @property
-    def ratio(self) -> float:
-        """sup/inf ratio of the potential; must stay bounded across steps."""
-        return float(self.values.max() / self.values.min())
 
 
 class KernelChoice(enum.Enum):
@@ -437,7 +427,6 @@ class ModelBounds:
     b_bound: float
     beta_profile: tuple
     g_profile: tuple
-    g_within_bound: bool
 
     def __post_init__(self) -> None:
         if self.g < 1.0:

@@ -95,7 +95,6 @@ class SpectralPair:
     h: FunctionVector
     eta_inf: ProbMeasure
     sigma2: Optional[float] = None
-    kernel_choice: Optional[KernelChoice] = None
 
 
 class _KahanSum:
@@ -315,7 +314,6 @@ def contraction_profile(model: FKModel, n_max: int = 30) -> ModelBounds:
         # exp(-inf) = 0 leaves the rank-one exponent a_hat (g - 1).  A slowly
         # mixing model can push the exponent past the float range.
         b_bound = _exp_or_inf(a_hat * (g_pot - 1.0) / (1.0 - math.exp(-lambda_hat)))
-    g_within = all(g <= b_bound * (1.0 + 1e-12) for g in g_values)
     return ModelBounds(
         g=g_pot,
         a_hat=a_hat,
@@ -323,7 +321,6 @@ def contraction_profile(model: FKModel, n_max: int = 30) -> ModelBounds:
         b_bound=b_bound,
         beta_profile=tuple(betas),
         g_profile=tuple(g_values),
-        g_within_bound=g_within,
     )
 
 
@@ -433,7 +430,7 @@ def spectral_pair(model: FKModel, choice: KernelChoice) -> SpectralPair:
     pair = eigen_h_zeta(model)
     step = model.step(0)
     sigma2 = cov_operator(choice, pair.eta_inf, step.G, step.M, pair.h, pair.h)
-    return replace(pair, sigma2=sigma2, kernel_choice=choice)
+    return replace(pair, sigma2=sigma2)
 
 
 def default_series_depth(lambda_hat: float) -> int:
@@ -486,7 +483,7 @@ def _limit_function(product: np.ndarray, g_last: np.ndarray, eta: np.ndarray) ->
     return u / (eta[..., None, :] @ u[..., None])[..., 0]
 
 
-def qbar_p_inf(model: FKModel, p: int, depth: Optional[int] = None) -> FunctionVector:
+def qbar_p_inf(model: FKModel, p: int, depth: int) -> FunctionVector:
     """Limit of the normalized semigroup columns, truncated at ``depth``.
 
     The truncated limit is ``Q_p ... Q_{p+depth-2} G_{p+depth-1}`` with
@@ -494,11 +491,9 @@ def qbar_p_inf(model: FKModel, p: int, depth: Optional[int] = None) -> FunctionV
     ``Q_q(1) = G_q``, that is ``qbar_pn_one`` at ``n = p + depth``; it is the
     exponential of the log series whose lag-``q`` term compares the
     potential means of the flows started at each point mass and at
-    ``eta_p``.  When ``depth`` is omitted it is derived from the fitted
+    ``eta_p``.  ``oracle_report`` derives a default depth from the fitted
     contraction rate.
     """
-    if depth is None:
-        depth = default_series_depth(contraction_profile(model).lambda_hat)
     if depth < 1:
         raise ValueError(f"series depth must be >= 1, got {depth}")
     return qbar_pn_one(model, p, p + depth)
@@ -519,7 +514,6 @@ def oracle_report(
     _transport(choice)
     sol = propagate(model, n)
     report = {
-        "schema": 1,
         "n": n,
         "kernel": choice.value,
         "etas": [list(map(float, eta.weights)) for eta in sol.etas],

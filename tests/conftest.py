@@ -98,3 +98,17 @@ def random_chain(rng: np.random.Generator, env_size: int, d: int, floor: float):
         stationary=fk.stationary_distribution(transition),
         family=tuple(family),
     )
+
+
+def model_kinds(seed: int, d: int, steps: int, horizon: int) -> dict:
+    """A homogeneous, an explicit (``steps`` steps) and an environment model
+    (a path of ``horizon`` positions) on d states, potentials at most 1, all
+    drawn afresh from ``seed``: the chain first, then the homogeneous and
+    the explicit model, and the path from its own seed d."""
+    rng = np.random.default_rng(seed)
+    chain = random_chain(rng, 3, d, floor=1e-3)
+    return {
+        "homogeneous": random_model(rng, d, transport_safe=True),
+        "explicit": random_explicit_model(rng, d, steps),
+        "environment": fk.env_model(chain, fk.sample_env_path(chain, 0, horizon, seed=d)),
+    }

@@ -11,7 +11,7 @@ import pytest
 
 import fkclt
 from fkclt import cli
-from fkclt.cli import _LANE_OBS, main
+from fkclt.cli import _LANE_OBS, _LANE_PATH, main
 from fkclt.engine import derive_seed
 from fkclt.models import AbsorptionModel, survival_mc_oracle
 
@@ -307,7 +307,9 @@ class TestCltCommand:
         assert first[0] == "0"
         assert abs(math.exp(float(first[2])) - float(first[3])) <= 1e-12
 
-    def test_environment_model_clt(self, model_file, tmp_path):
+    def test_environment_model_clt(self, model_file, tmp_path, env_chain):
+        # The target is the exact v_n of the path the replicates run on (the
+        # quenched target); sigma2 stays the ergodic average.
         cfg = model_file(ENVIRONMENT, "env.json")
         rep = tmp_path / "rep.json"
         code = main(
@@ -318,7 +320,29 @@ class TestCltCommand:
         assert code in (0, 1)
         report = json.loads(rep.read_text())
         assert report["sigma2"] > 0
-        assert report["v_n"] == pytest.approx(8 * report["sigma2"])
+        path = fkclt.sample_env_path(env_chain, 0, 9, seed=derive_seed(21, _LANE_PATH))
+        model = fkclt.env_model(env_chain, path)
+        assert report["v_n"] == fkclt.v_n(model, fkclt.KernelChoice.MULTINOMIAL, 8)
+
+
+# One small run of every subcommand that writes a JSON report: its model and
+# its options, the last of which names the report file.
+REPORT_RUNS = {
+    "oracle": (TWO_STATE, ["--n", "2", "--out"]),
+    "clt": (TWO_STATE, ["--n", "2", "--N", "8", "--reps", "35", "--report"]),
+    "fixed-n-clt": (TWO_STATE, ["--n", "2", "--N", "100,200", "--reps", "2", "--report"]),
+    "env-sigma2": (ENVIRONMENT, ["--horizon", "100", "--depth", "5", "--report"]),
+    "hmm": (HMM, ["--n", "5", "--N", "10", "--reps", "2", "--report"]),
+}
+
+
+@pytest.mark.parametrize("command", REPORT_RUNS)
+def test_every_report_carries_the_schema_version(model_file, tmp_path, command):
+    model, options = REPORT_RUNS[command]
+    rep = tmp_path / "report.json"
+    code = main([command, "--config", model_file(model), "--threads", "1", *options, str(rep)])
+    assert code in (0, 1)
+    assert json.loads(rep.read_text())["schema"] == 1
 
 
 class TestOtherCommands:
@@ -351,6 +375,7 @@ class TestOtherCommands:
         cfg = model_file({**TWO_STATE, "G": [0.5, 1.2]})
         assert main(["qsd", "--config", cfg, "--n", "3", "--reps", "1000"]) == 5
         err = capsys.readouterr().err
+        assert err.startswith("model error: ")
         assert "1.2" in err
         assert "np.float64" not in err
 

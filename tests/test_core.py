@@ -335,7 +335,7 @@ class TestDobrushin:
 
 def test_oscillation():
     assert fk.oscillation([1.0, 4.0, -2.0]) == 6.0
-    assert fk.FunctionVector([2.0, 2.0]).oscillation == 0.0
+    assert fk.oscillation(fk.FunctionVector([2.0, 2.0])) == 0.0
 
 
 def draw(laws, u, rows=None):

@@ -14,7 +14,7 @@ import refkit
 from fkclt.core import SAMPLING_TABLES_MAX, InvalidModel, _generator
 from fkclt.engine import READ_AHEAD, derive_seed
 
-from conftest import random_chain, random_explicit_model, random_model, stack, uniforms
+from conftest import model_kinds, random_model, stack, uniforms
 
 MULTI = fk.KernelChoice.MULTINOMIAL
 TRANS = fk.KernelChoice.TRANSPORT
@@ -229,14 +229,7 @@ def kit_run(model, N, n, choice, seed):
 class TestRunReference:
     @pytest.mark.parametrize("d", [1, 2, 3, 5])
     def test_bit_for_bit(self, d):
-        rng = np.random.default_rng(500 + d)
-        chain = random_chain(rng, 3, d, floor=1e-3)
-        models = {
-            "homogeneous": random_model(rng, d, transport_safe=True),
-            "explicit": random_explicit_model(rng, d, 17),
-            "environment": fk.env_model(chain, fk.sample_env_path(chain, 0, 18, seed=d)),
-        }
-        for kind, model in models.items():
+        for kind, model in model_kinds(500 + d, d, 17, 18).items():
             for choice in fk.KernelChoice:
                 for N in (1, 7, 64):
                     for n in (0, 1, 17):
@@ -245,18 +238,6 @@ class TestRunReference:
                             assert got == kit_run(model, N, n, choice, seed), (
                                 kind, choice, N, n, seed
                             )
-
-
-def _models(d):
-    """A homogeneous, an explicit and an environment model of dimension d,
-    built afresh from fixed seeds on every call."""
-    rng = np.random.default_rng(700 + d)
-    chain = random_chain(rng, 3, d, floor=1e-3)
-    return {
-        "homogeneous": random_model(rng, d, transport_safe=True),
-        "explicit": random_explicit_model(rng, d, 17),
-        "environment": fk.env_model(chain, fk.sample_env_path(chain, 0, 18, seed=d)),
-    }
 
 
 class TestSamplingTableMemo:
@@ -269,7 +250,7 @@ class TestSamplingTableMemo:
 
     @pytest.mark.parametrize("d", [1, 2, 3, 5])
     def test_warm_and_cold_runs_match_the_reference(self, d):
-        for kind, model in _models(d).items():
+        for kind, model in model_kinds(700 + d, d, 17, 18).items():
             for round_ in range(2):
                 for N, choice in self.SEQUENCE:
                     seed = 11 * N + round_
@@ -277,11 +258,11 @@ class TestSamplingTableMemo:
                     assert fk.run(model, N, 17, choice, seed).log_gamma_N == want, (
                         kind, round_, N, choice
                     )
-                    cold = _models(d)[kind]
+                    cold = model_kinds(700 + d, d, 17, 18)[kind]
                     assert fk.run(cold, N, 17, choice, seed).log_gamma_N == want
 
     def test_tables_are_kept_per_step_and_kernel(self):
-        model = _models(3)["explicit"]
+        model = model_kinds(703, 3, 17, 18)["explicit"]
         fk.run(model, 5, 3, MULTI, seed=1)
         fk.run(model, 5, 3, TRANS, seed=1)
         for p in range(3):
@@ -305,7 +286,7 @@ class TestSamplingTableMemo:
 
     @pytest.mark.parametrize("kind", ["homogeneous", "explicit", "environment"])
     def test_pickled_bytes_do_not_change_with_use(self, kind):
-        model = _models(2)[kind]
+        model = model_kinds(702, 2, 17, 18)[kind]
         before = pickle.dumps(model)
         for choice in fk.KernelChoice:
             fk.run(model, 16, 17, choice, seed=5)
@@ -339,7 +320,7 @@ class TestCarriedCounts:
 
     @pytest.mark.parametrize("d", [1, 2, 3, 5])
     def test_counts_after_every_step(self, d):
-        for kind, model in _models(d).items():
+        for kind, model in model_kinds(700 + d, d, 17, 18).items():
             for choice in fk.KernelChoice:
                 for N in (1, 7, 64, 1000):
                     seed = 31 * N + d

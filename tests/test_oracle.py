@@ -14,7 +14,7 @@ import refkit
 from fkclt import oracle
 from fkclt.core import DimensionMismatch, InvalidModel, ScheduleExhausted
 
-from conftest import random_chain, random_explicit_model, random_model, stack
+from conftest import model_kinds, random_chain, random_explicit_model, random_model, stack
 
 
 MULTI = fk.KernelChoice.MULTINOMIAL
@@ -184,7 +184,6 @@ class TestContractionProfile:
         assert abs(bounds.beta_profile[0] - 0.3) <= 1e-14
         assert bounds.lambda_hat > 0
         assert bounds.g == pytest.approx(1.8)
-        assert bounds.g_within_bound
         assert max(bounds.g_profile) <= bounds.b_bound
 
     def test_rank_one_kernel_degenerates(self):
@@ -194,7 +193,7 @@ class TestContractionProfile:
         assert all(b <= 1e-14 for b in bounds.beta_profile)
         assert math.isinf(bounds.lambda_hat)
         assert all(g >= 1.0 for g in bounds.g_profile)
-        assert bounds.g_within_bound
+        assert max(bounds.g_profile) <= bounds.b_bound
 
     def test_constant_potential_flat_ratio(self):
         model = constant_g_model(0.6)
@@ -426,18 +425,6 @@ class TestSemigroupReference:
 MEMO_STEPS = 30
 
 
-def memo_models(d):
-    """Homogeneous, explicit and environment models on d states with
-    potentials at most 1, the explicit one MEMO_STEPS steps long."""
-    rng = np.random.default_rng(800 + d)
-    chain = random_chain(rng, 3, d, floor=1e-3)
-    return {
-        "homogeneous": random_model(rng, d, transport_safe=True),
-        "explicit": random_explicit_model(rng, d, MEMO_STEPS),
-        "environment": fk.env_model(chain, fk.sample_env_path(chain, 0, MEMO_STEPS, seed=d)),
-    }
-
-
 def solution_bits(sol):
     return np.array([eta.weights for eta in sol.etas]).tobytes(), sol.log_gammas, sol.potential_means
 
@@ -456,7 +443,7 @@ class TestFlowMemo:
 
     @pytest.mark.parametrize("d", FAMILY_DIMS)
     def test_prefix_reads_keep_the_bits(self, d):
-        for kind, model in memo_models(d).items():
+        for kind, model in model_kinds(800 + d, d, MEMO_STEPS, MEMO_STEPS).items():
             cold = pickle.dumps(model)
             fk.propagate(model, MEMO_STEPS)
             for k in range(MEMO_STEPS + 1):
@@ -468,7 +455,7 @@ class TestFlowMemo:
             assert len(model._flow[1]) == MEMO_STEPS + 1
 
     def test_longer_requests_run_as_on_a_cold_model(self):
-        for kind, model in memo_models(3).items():
+        for kind, model in model_kinds(803, 3, MEMO_STEPS, MEMO_STEPS).items():
             cold = pickle.dumps(model)
             fk.propagate(model, 10)
             want = solution_bits(fk.propagate(pickle.loads(cold), 20))
@@ -478,7 +465,7 @@ class TestFlowMemo:
             assert len(model._flow[1]) == 26
 
     def test_past_the_end_of_an_explicit_schedule(self):
-        model = memo_models(3)["explicit"]
+        model = model_kinds(803, 3, MEMO_STEPS, MEMO_STEPS)["explicit"]
         cold = pickle.dumps(model)
         fk.propagate(model, MEMO_STEPS)
         calls = [
@@ -671,8 +658,8 @@ class TestSpectral:
 
     def test_spectral_pair_carries_choice(self, two_state):
         pair = fk.spectral_pair(two_state, TRANS)
-        assert pair.kernel_choice is TRANS
-        assert pair.sigma2 == pytest.approx(fk.sigma2_homogeneous(two_state, TRANS))
+        assert pair.sigma2 == fk.sigma2_homogeneous(two_state, TRANS)
+        assert pair.sigma2 < fk.spectral_pair(two_state, MULTI).sigma2
 
 
 class TestQbarLimit:
@@ -711,7 +698,11 @@ class TestQbarLimit:
         slope = float(((x - x.mean()) * (y - y.mean())).sum() / ((x - x.mean()) ** 2).sum())
         assert abs(-slope - bounds.lambda_hat) <= 0.2 * bounds.lambda_hat
 
-    def test_default_depth_from_profile(self, two_state):
-        out_default = fk.qbar_p_inf(two_state, 0)
-        out_deep = fk.qbar_p_inf(two_state, 0, depth=80)
-        np.testing.assert_allclose(out_default.values, out_deep.values, atol=1e-16 * 100)
+    def test_report_depth_comes_from_the_profile(self, two_state):
+        # oracle_report derives the series depth from the fitted rate; the
+        # truncated limit there agrees with a much deeper one.
+        depth = oracle.default_series_depth(fk.contraction_profile(two_state).lambda_hat)
+        report = oracle.oracle_report(two_state, 3, MULTI)
+        assert report["qbar_limit"] == fk.qbar_p_inf(two_state, 0, depth).values.tolist()
+        deep = fk.qbar_p_inf(two_state, 0, depth=80).values
+        np.testing.assert_allclose(report["qbar_limit"], deep, atol=1e-16 * 100)
