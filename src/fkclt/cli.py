@@ -192,8 +192,8 @@ def _build_model(obj: dict, path: str) -> tuple:
         )
         eta0 = ProbMeasure(obj["eta0"]) if "eta0" in obj else None
         return kind, chain, eta0
-    except FKError as exc:
-        raise CliError(EXIT_MODEL, f"invalid model in {path!r}: {exc}") from exc
+    except FKError as exc:  # main prints it, as it prints every model error
+        raise type(exc)(f"invalid model in {path!r}: {exc}") from exc
     except (TypeError, ValueError) as exc:
         raise CliError(EXIT_SCHEMA, f"malformed value in {path!r}: {exc}") from exc
 
@@ -352,7 +352,9 @@ def cmd_run(cfg: argparse.Namespace) -> int:
 
 
 def _clt_report_json(cfg: argparse.Namespace, report: CltReport, sigma2) -> dict:
-    return {
+    """The clt report.  An environment run adds ``quenched_ratio``, its
+    path's v_n over n sigma2_env (None when sigma2_env is 0)."""
+    out = {
         "n": cfg.n,
         "N": cfg.N,
         "alpha": cfg.n / cfg.N,
@@ -368,6 +370,9 @@ def _clt_report_json(cfg: argparse.Namespace, report: CltReport, sigma2) -> dict
         "unbiased_z": report.unbiased_z,
         "verdicts": report.verdicts,
     }
+    if cfg.model_kind == "environment":
+        out["quenched_ratio"] = report.v_n / (cfg.n * sigma2) if sigma2 > 0 else None
+    return out
 
 
 def cmd_clt(cfg: argparse.Namespace) -> int:

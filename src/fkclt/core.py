@@ -364,8 +364,10 @@ class FKModel:
 
     A model keeps one piece of work: ``_flow``, the longest exact measure
     flow that ``oracle`` has computed on it (flow weights, log normalizing
-    constants, potential means), or None.  Step p of the flow depends only
-    on the steps before it, so ``oracle`` answers a shorter request with a
+    constants, potential means) with the step stack it ran on (potentials
+    and kernels), or None.  Over n steps that is about n(d^2 + 2d + 2)
+    floats, n d^2 of them the kernels.  Step p of the flow depends only on
+    the steps before it, so ``oracle`` answers a shorter request with a
     prefix of the kept arrays, bit for bit.  The flow is not pickled, so a
     model pickles to the same bytes before and after use; a flow that
     raises is not kept.  The flow is never recomputed, so ``schedule.step(p)``

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -123,6 +122,10 @@ def replicate_experiment(
     if threads == 1:
         parts = list(map(_run_replicates, payloads))
     else:
+        # Imported here: the pool module brings in multiprocessing, which a
+        # one-thread run never needs.
+        from concurrent.futures import ProcessPoolExecutor
+
         workers = min(threads, chunk_count, os.cpu_count() or 1)
         with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(_run_replicates, payloads))

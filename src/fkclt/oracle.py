@@ -13,13 +13,13 @@ the semigroup family work on those arrays (the homogeneous spectral
 routines read the one step they need).  ``_measure_flow`` runs the measure
 recursion on them and checks the whole flow once at its end.
 
-A model keeps the longest flow computed on it (never pickled), and
-``_kept_flow`` is the one reader of that memo: a request up to the kept
-length is a prefix of the kept arrays, with the bits of a flow of that
-length, and a longer one runs ``_measure_flow`` and keeps its result; a
-flow that raises keeps nothing.  ``propagate`` wraps its rows in
-``ProbMeasure`` values, while ``v_n``, ``qbar_pn_one`` and ``d_pn`` read
-the array directly.
+A model keeps the longest flow computed on it (never pickled), with the
+step stack it ran on, and ``_kept_flow`` is the one reader of that memo: a
+request up to the kept length is a prefix of the kept arrays, with the bits
+of a flow of that length, and a longer one runs ``_measure_flow`` and keeps
+its result; a flow that raises keeps nothing.  ``propagate`` wraps its rows
+in ``ProbMeasure`` values, while ``v_n``, ``qbar_pn_one`` and ``d_pn`` read
+the array directly, and ``v_n`` reads its steps from the kept stack.
 
 ``_ordered_products`` is the one product routine for this module and
 ``randenv``: ``qbar_pn_one``, ``d_pn``, ``markov_pn`` and ``qbar_p_inf``
@@ -97,20 +97,16 @@ class SpectralPair:
     sigma2: Optional[float] = None
 
 
-class _KahanSum:
-    """Compensated accumulator; used where bit-stable sums are promised."""
-
-    __slots__ = ("value", "_c")
-
-    def __init__(self) -> None:
-        self.value = 0.0
-        self._c = 0.0
-
-    def add(self, x: float) -> None:
-        y = x - self._c
-        t = self.value + y
-        self._c = (t - self.value) - y
-        self.value = t
+def _kahan_sum(terms) -> float:
+    """Compensated sum of ``terms`` in order; used where bit-stable sums are
+    promised."""
+    value = c = 0.0
+    for x in terms:
+        y = x - c
+        t = value + y
+        c = (t - value) - y
+        value = t
+    return value
 
 
 def _stack(model: FKModel, lo: int, hi: int) -> tuple:
@@ -172,15 +168,17 @@ def _measure_flow(eta0: np.ndarray, G: np.ndarray, M: np.ndarray) -> tuple:
 
 def _kept_flow(model: FKModel, n: int) -> tuple:
     """``_measure_flow`` over the model's first ``n`` steps, read as a prefix
-    of the flow the model keeps; a longer request runs the flow and keeps
-    it."""
+    of the flow the model keeps, followed by the prefix of the step stack
+    (G, M) it ran on; a longer request runs the flow and keeps it."""
     kept = model._flow
     if kept is None or len(kept[1]) <= n:
-        kept = _measure_flow(model.eta0.weights, *_stack(model, 0, n))
-        kept[0].flags.writeable = False
+        G, M = _stack(model, 0, n)
+        kept = (*_measure_flow(model.eta0.weights, G, M), G, M)
+        for array in (kept[0], G, M):
+            array.flags.writeable = False
         object.__setattr__(model, "_flow", kept)
-    etas, log_gammas, means = kept
-    return etas[: n + 1], log_gammas[: n + 1], means[:n]
+    etas, log_gammas, means, G, M = kept
+    return etas[: n + 1], log_gammas[: n + 1], means[:n], G[:n], M[:n]
 
 
 def propagate(model: FKModel, n: int) -> OracleSolution:
@@ -192,7 +190,7 @@ def propagate(model: FKModel, n: int) -> OracleSolution:
     """
     if n < 0:
         raise ValueError(f"step count must be >= 0, got {n}")
-    etas, log_gammas, means = _kept_flow(model, n)
+    etas, log_gammas, means, _, _ = _kept_flow(model, n)
     return OracleSolution(
         tuple(ProbMeasure._checked(eta) for eta in etas), tuple(log_gammas), tuple(means)
     )
@@ -338,30 +336,29 @@ def v_n(model: FKModel, choice: KernelChoice, n: int) -> float:
     _transport(choice)
     if n == 0:
         return 0.0
-    etas = _kept_flow(model, n)[0]
-    G, M = _stack(model, 0, n)
-    factors = G[:, :, None] * M
-    ubars = np.empty((n, model.d))
+    etas, _, _, G, M = _kept_flow(model, n)
     u = np.ones(model.d)
-    for q in range(n - 1, -1, -1):
-        u = factors[q] @ u
-        u = u / float(etas[q] @ u)  # exact eta_q-mean-one normalization
-        ubars[q] = u
-    acc = _KahanSum()
+    backward = []  # the columns at q = n-1 down to 0
+    # ``dot`` makes the BLAS calls of ``@`` at less cost per call
+    for factor, eta in zip(G[::-1, :, None] * M[::-1], etas[n - 1 :: -1]):
+        u = factor.dot(u)
+        u /= eta.dot(u)  # exact eta_q-mean-one normalization
+        backward.append(u)
+    ubars = np.array(backward[::-1])
     centered0 = ubars[0] - 1.0
-    acc.add(float(etas[0] @ (centered0 * centered0)))
+    terms = [float(etas[0] @ (centered0 * centered0))]
     if n > 1:  # term q >= 1: the covariance under step q-1 of the column at q
         cols = ubars[1:]
-        for term in _cov_raw(choice, etas[: n - 1], G[: n - 1], M[: n - 1], cols, cols).tolist():
-            acc.add(term)
-    if not math.isfinite(acc.value):
+        terms += _cov_raw(choice, etas[: n - 1], G[: n - 1], M[: n - 1], cols, cols).tolist()
+    total = _kahan_sum(terms)
+    if not math.isfinite(total):
         raise InvalidModel(
             f"v_n over {n} steps is not finite: a normalized semigroup column "
             "underflowed or overflowed"
         )
     # Every term is a variance, so the sum is nonnegative up to cancellation
     # noise; clamp the noise.
-    return max(acc.value, 0.0)
+    return max(total, 0.0)
 
 
 def fixed_point_eta_inf(model: FKModel) -> ProbMeasure:

@@ -163,7 +163,7 @@ class EnvPath:
         states = _indices(self.states, "environment state")
         states.flags.writeable = False
         object.__setattr__(self, "states", states)
-        # (chain, choice, depth, contributions at positions 1..) or None
+        # (chain, choice, depth, list of the floats at positions 1..) or None
         object.__setattr__(self, "_kept", None)
 
     def __reduce__(self):
@@ -363,10 +363,11 @@ def c_of_y(
     """
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
-    y.window(position - 1 - depth, position + depth - 1)
+    if position - 1 - depth < y.lo or position + depth - 1 > y.hi:
+        y.window(position - 1 - depth, position + depth - 1)  # raises WindowTooShort
     kept = y._kept
     if kept is not None and kept[0] is chain and kept[1] is choice and kept[2] == depth:
-        value = float(kept[3][position - 1])  # kept under a choice sigma2_env checked
+        value = kept[3][position - 1]  # a float kept under a choice sigma2_env checked
     else:
         _transport(choice)
         value = float(_contributions(chain, choice, y, position, position, depth)[0])
@@ -407,7 +408,7 @@ def sigma2_env(
             _contributions(chain, choice, path, first, min(first + size - 1, horizon), depth)
             for first in range(1, horizon + 1, size)
         ])
-    object.__setattr__(path, "_kept", (chain, choice, depth, kept))
+    object.__setattr__(path, "_kept", (chain, choice, depth, kept.tolist()))
     values = np.array(
         [c_of_y(chain, choice, path, p, depth) for p in range(1, horizon + 1)]
     )

@@ -194,15 +194,23 @@ class TestParseErrors:
     def test_missing_file_exit_4(self, tmp_path):
         assert main(["oracle", "--config", str(tmp_path / "nope.json"), "--n", "2"]) == 4
 
-    def test_invalid_model_values_exit_5(self, model_file):
+    def test_invalid_model_values_exit_5(self, model_file, capsys):
+        # A bad value in the file prints as every model error does, naming
+        # the file.
         cfg = model_file({**TWO_STATE, "M": [[0.7, 0.4], [0.4, 0.6]]})
         assert main(["oracle", "--config", cfg, "--n", "2"]) == 5
+        err = capsys.readouterr().err
+        assert err.startswith(f"model error: invalid model in {cfg!r}: kernel row sums")
+        assert err.count("\n") == 1
 
     def test_underflowing_potentials_exit_5(self, model_file, capsys):
-        # Every potential mean of this model rounds to 0.
+        # Every potential mean of this model rounds to 0: a model error
+        # raised after the file was read, under the same prefix.
         cfg = model_file({**TWO_STATE, "G": [5e-324, 5e-324]})
         assert main(["oracle", "--config", cfg, "--n", "3"]) == 5
-        assert "vanished at step 0" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("model error: potential mean vanished at step 0")
+        assert err.count("\n") == 1
 
     def test_kind_mismatch_exit_3(self, model_file):
         cfg = model_file(TWO_STATE)
@@ -323,6 +331,21 @@ class TestCltCommand:
         path = fkclt.sample_env_path(env_chain, 0, 9, seed=derive_seed(21, _LANE_PATH))
         model = fkclt.env_model(env_chain, path)
         assert report["v_n"] == fkclt.v_n(model, fkclt.KernelChoice.MULTINOMIAL, 8)
+
+    def test_environment_report_states_the_quenched_ratio(self, tmp_path):
+        # The shipped environment: v_n of the sampled path against the
+        # environment average n sigma2_env, next to both.
+        root = os.path.join(os.path.dirname(__file__), os.pardir)
+        cfg = os.path.join(root, "configs", "env_two_state.json")
+        rep = tmp_path / "rep.json"
+        code = main(
+            ["clt", "--config", cfg, "--n", "16", "--N", "64", "--reps", "40",
+             "--seed", "5", "--depth", "30", "--horizon", "400", "--report", str(rep)]
+        )
+        assert code in (0, 1)
+        report = json.loads(rep.read_text())
+        assert report["quenched_ratio"] == report["v_n"] / (16 * report["sigma2"])
+        assert 0.2 < report["quenched_ratio"] < 5.0
 
 
 # One small run of every subcommand that writes a JSON report: its model and

@@ -6,13 +6,16 @@ sums, so the threshold layout the sampler reads stays in one module.  The
 reference kit ``tests/refkit.py`` imports only the standard library and
 numpy, never fkclt, so no fault in the package reaches the values the
 exact tests expect.  The suite imports only what ``pyproject.toml``
-declares, so ``pip install .[test]`` can collect it."""
+declares, so ``pip install .[test]`` can collect it.  Importing the CLI
+leaves ``multiprocessing`` unloaded: only a pooled run needs it."""
 
 from __future__ import annotations
 
 import ast
+import os
 import pathlib
 import re
+import subprocess
 import sys
 
 import pytest
@@ -196,3 +199,14 @@ def test_suite_imports_are_declared():
     exempt = set(sys.stdlib_module_names) | {"fkclt"} | {path.stem for path in suite}
     used = set().union(*map(imported_roots, suite)) - exempt
     assert used <= declared_requirements(), used - declared_requirements()
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    probe = "import sys, fkclt.cli; print('multiprocessing' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import concurrent.futures
 import math
 import warnings
 
@@ -212,7 +213,7 @@ class TestReplicateExperiment:
             def map(self, fn, payloads):
                 return map(fn, payloads)
 
-        monkeypatch.setattr(fk.harness, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
         monkeypatch.setattr(fk.harness.os, "cpu_count", lambda: 4)
         for replicates, threads in ((2, 8), (30, 5000), (30, 3)):
             config = ExperimentConfig(

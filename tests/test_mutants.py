@@ -36,7 +36,7 @@ import fkclt.oracle
 import fkclt.randenv
 from fkclt import models
 from fkclt.core import _categorical_thresholds, _cov_raw
-from fkclt.oracle import _KahanSum, _kept_flow, _stack
+from fkclt.oracle import _kahan_sum, _kept_flow, _stack
 from numpy.lib.stride_tricks import sliding_window_view
 
 import test_engine
@@ -105,13 +105,11 @@ def v_n_column_one_early(model, choice, n):
     for q in range(n - 1, -1, -1):
         u = (G[q][:, None] * M[q]) @ u
         ubars[q] = u = u / float(etas[q] @ u)
-    acc = _KahanSum()
-    acc.add(float(etas[0] @ (ubars[0] - 1.0) ** 2))
+    terms = [float(etas[0] @ (ubars[0] - 1.0) ** 2)]
     if n > 1:
         cols = ubars[:-1]
-        for term in _cov_raw(choice, etas[: n - 1], G[: n - 1], M[: n - 1], cols, cols).tolist():
-            acc.add(term)
-    return max(acc.value, 0.0)
+        terms += _cov_raw(choice, etas[: n - 1], G[: n - 1], M[: n - 1], cols, cols).tolist()
+    return max(_kahan_sum(terms), 0.0)
 
 
 def kernel_swap(step):

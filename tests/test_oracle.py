@@ -454,6 +454,27 @@ class TestFlowMemo:
                     assert fk.v_n(model, choice, k) == want, (kind, k, choice)
             assert len(model._flow[1]) == MEMO_STEPS + 1
 
+    @pytest.mark.parametrize("d", [1, 3, 5])
+    def test_v_n_bits_do_not_depend_on_the_kept_length(self, d):
+        # v_n(k) reads its flow and its steps as prefixes of what the model
+        # keeps; kept over k or 3k steps, they must give a cold model's bits.
+        rng = np.random.default_rng(900 + d)
+        chain = random_chain(rng, 3, d, floor=1e-3)
+        models = {
+            "explicit": random_explicit_model(rng, d, 60),
+            "environment": fk.env_model(chain, fk.sample_env_path(chain, 0, 60, seed=d)),
+        }
+        for kind, model in models.items():
+            cold = pickle.dumps(model)
+            for k in (1, 2, 7, 20):
+                for choice in fk.KernelChoice:
+                    want = fk.v_n(pickle.loads(cold), choice, k)
+                    for kept in (k, 3 * k):
+                        warm = pickle.loads(cold)
+                        fk.propagate(warm, kept)
+                        assert fk.v_n(warm, choice, k) == want, (kind, k, kept, choice)
+                        assert len(warm._flow[1]) == kept + 1
+
     def test_longer_requests_run_as_on_a_cold_model(self):
         for kind, model in model_kinds(803, 3, MEMO_STEPS, MEMO_STEPS).items():
             cold = pickle.dumps(model)

@@ -500,12 +500,16 @@ class TestReadAhead:
     def test_window_check_comes_first(self, env_chain, monkeypatch):
         path = sigma2_env_path(monkeypatch, env_chain, MULTI, 100, 6, seed=8)
         assert (path.lo, path.hi) == (-6, 105)  # exactly the windows of 1..100
+        for p in (1, 100):  # the first and last kept values, at the window's ends
+            assert fk.c_of_y(env_chain, MULTI, path, p, 6) == cold_c(env_chain, MULTI, path, p, 6)
         with pytest.raises(WindowTooShort, match=r"indices \[-6, 6\]"):
             fk.c_of_y(env_chain, MULTI, path.shift(-1), 1, depth=6)
-        with pytest.raises(WindowTooShort, match=r"indices \[-7, 5\]"):
+        with pytest.raises(WindowTooShort) as raised:
             fk.c_of_y(env_chain, MULTI, path, 0, depth=6)
-        with pytest.raises(WindowTooShort, match=r"indices \[94, 106\]"):
+        assert str(raised.value) == "indices [-7, 5] outside the path window [-6, 105]"
+        with pytest.raises(WindowTooShort) as raised:
             fk.c_of_y(env_chain, MULTI, path, 101, depth=6)
+        assert str(raised.value) == "indices [94, 106] outside the path window [-6, 105]"
 
     def test_ascending_reads_reduce_each_block_once(self, env_chain, monkeypatch):
         calls, reads = [], []
