@@ -238,7 +238,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = add_command("oracle", cmd_oracle, ("homogeneous",), "exact solution and spectral report")
     p.add_argument("--n", type=_at_least(1), required=True)
-    p.add_argument("--depth", type=_at_least(1), default=None, help="series truncation depth")
     p.add_argument("--out", default=None)
 
     p = add_command("run", cmd_run, ("homogeneous", "environment"), "single particle run",
@@ -308,8 +307,10 @@ def _csv_row(*fields) -> str:
     )
 
 
-def _env_path_model(cfg: argparse.Namespace):
-    """The configured environment chain along a path from the path lane."""
+def _particle_model(cfg: argparse.Namespace):
+    """The homogeneous model, or the environment chain along a path from the path lane."""
+    if cfg.model_kind == "homogeneous":
+        return cfg.model
     path = randenv.sample_env_path(
         cfg.model, past=0, horizon=cfg.n + 1, seed=derive_seed(cfg.seed, _LANE_PATH)
     )
@@ -321,11 +322,10 @@ def _materialize(cfg: argparse.Namespace) -> tuple:
     target is the exact v_n of the model the replicates run on, for an
     environment model that of its sampled path (the quenched target); its
     sigma2 is the ergodic average, from an independent stream."""
+    model = _particle_model(cfg)
     if cfg.model_kind == "homogeneous":
-        model = cfg.model
         sigma2 = oracle.sigma2_homogeneous(model, cfg.kernel)
     else:
-        model = _env_path_model(cfg)
         sigma2, _ = randenv.sigma2_env(
             cfg.model, cfg.kernel, cfg.horizon, cfg.depth, seed=derive_seed(cfg.seed, _LANE_SIGMA)
         )
@@ -333,13 +333,13 @@ def _materialize(cfg: argparse.Namespace) -> tuple:
 
 
 def cmd_oracle(cfg: argparse.Namespace) -> int:
-    report = oracle.oracle_report(cfg.model, cfg.n, cfg.kernel, series_depth=cfg.depth)
+    report = oracle.oracle_report(cfg.model, cfg.n, cfg.kernel)
     _emit(_dump_json(report), cfg.out)
     return EXIT_OK
 
 
 def cmd_run(cfg: argparse.Namespace) -> int:
-    model = _env_path_model(cfg) if cfg.model_kind == "environment" else cfg.model
+    model = _particle_model(cfg)
     exact = oracle.propagate(model, cfg.n).log_gammas[-1]
     record = run(model, cfg.N, cfg.n, cfg.kernel, cfg.seed, oracle_log_gamma=exact, replicate_id=0)
     header = "replicate_id,seed,n,N,kernel,log_gamma_N,log_gamma_bar"
@@ -455,7 +455,7 @@ def cmd_hmm(cfg: argparse.Namespace) -> int:
         model=fk, choice=cfg.kernel, n=cfg.n, N=cfg.N,
         replicates=cfg.reps, master_seed=cfg.seed,
     )
-    records = replicate_experiment(config, oracle_log_gamma=recursion, threads=cfg.threads)
+    records = replicate_experiment(config, threads=cfg.threads)
     z, unbiased_ok = unbiasedness_check([r.gamma_bar for r in records])
     agreement_ok = rel_diff <= 1e-12
     report = {

@@ -11,15 +11,17 @@ and marked read-only, so values are safe to share across threads.
 
 Raw arrays inside, validated objects at the public edges: the value types
 check their inputs once, when built, and the public operations check
-dimensions before handing plain arrays to the private ``_*_raw`` routines.
-Those routines (reweighting, the mean-field kernel rows, the conditional
-covariance) validate nothing and take leading batch axes, so the exact
-solvers and the particle engine call them inside their loops at array cost.
-Two checks are the value layer's one contract, which every value type,
-``as_values`` and the HMM emission matrix go through: ``_finite`` (shape,
-non-empty, finite) and ``_stochastic`` (rows that are probability vectors).
-Index arrays (particle states, environment paths, symbols) have one check
-too, ``_indices``: 1-d, integral, and in range where the caller knows it.
+dimensions and parse the kernel choice into a bool, ``transport``, before
+handing plain arrays to the private ``_*_raw`` routines.  Those routines
+(reweighting, the mean-field kernel rows, the conditional covariance) take
+that bool and leading batch axes, and check only the transport kernel's
+G <= 1, so the exact solvers and the particle engine call them inside their
+loops at array cost.  Two checks are the value layer's one contract, which
+every value type, ``as_values`` and the HMM emission matrix go through:
+``_finite`` (shape, non-empty, finite) and ``_stochastic`` (rows that are
+probability vectors).  Index arrays (particle states, environment paths,
+symbols) have one check too, ``_indices``: 1-d, integral, and in range
+where the caller knows it.
 """
 
 from __future__ import annotations
@@ -111,8 +113,13 @@ def _stochastic(values, ndim: int, what: str) -> np.ndarray:
     deviation = float(np.abs(arr.sum(axis=-1) - 1.0).max())
     if deviation > INPUT_ATOL:
         raise InvalidModel(f"{what} row sums deviate from 1 by up to {deviation!r}")
-    arr = np.clip(arr, 0.0, None)
-    return _frozen(arr / arr.sum(axis=-1, keepdims=True))
+    return _frozen(_normalized(arr))
+
+
+def _normalized(w: np.ndarray) -> np.ndarray:
+    """Rows (last axis) of ``w`` clipped at 0 and divided by their sums."""
+    w = np.maximum(w, 0.0)
+    return w / w.sum(axis=-1, keepdims=True)
 
 
 def as_values(f: ArrayLike) -> np.ndarray:
@@ -298,8 +305,8 @@ class FKStep:
         key = (transport, tails)
         table = self._tables.get(key)
         if table is None:
-            choice = KernelChoice.TRANSPORT if transport else KernelChoice.MULTINOMIAL
-            rows = _kernel_rows_raw(choice, _counts(tails) / tails[0], self.G.values, self.M.rows)
+            mu_w = _counts(tails) / tails[0]
+            rows = _kernel_rows_raw(transport, mu_w, self.G.values, self.M.rows)
             table = _thresholds(rows if transport else rows[:1])
             if len(self._tables) < SAMPLING_TABLES_MAX:
                 self._tables[key] = table
@@ -543,16 +550,14 @@ def _chain_path(law0: np.ndarray, moves: np.ndarray, u: np.ndarray) -> np.ndarra
 
 
 def _kernel_rows_raw(
-    choice: KernelChoice, mu_w: np.ndarray, g_v: np.ndarray, m_r: np.ndarray
+    transport: bool, mu_w: np.ndarray, g_v: np.ndarray, m_r: np.ndarray
 ) -> np.ndarray:
     """Rows of the mean-field kernel, (..., d, d): every row is ``phi`` for
     the multinomial kernel, and row x is ``G(x) M(x, .) + (1 - G(x)) phi(.)``
     for the transport kernel, which keeps a particle with probability G(x),
-    so every potential value must be <= 1; any other ``choice`` is a
-    ``ValueError``.  The rows are always a materialized contiguous array:
-    matrix products over a stride-0 view leave BLAS and sum in another
-    order."""
-    transport = _transport(choice)
+    so every potential value must be <= 1, else ``InvalidModel``.  The rows
+    are always a materialized contiguous array: matrix products over a
+    stride-0 view leave BLAS and sum in another order."""
     phi = _phi_raw(mu_w, g_v, m_r)
     if not transport:
         return phi[..., None, :].repeat(m_r.shape[-1], axis=-2)
@@ -564,7 +569,7 @@ def _kernel_rows_raw(
 
 
 def _cov_raw(
-    choice: KernelChoice,
+    transport: bool,
     mu_w: np.ndarray,
     g_v: np.ndarray,
     m_r: np.ndarray,
@@ -575,7 +580,7 @@ def _cov_raw(
     rows: ``mu_w``, ``g_v``, ``v1``, ``v2`` are (b, d) and ``m_r`` is
     (b, d, d); returns (b,).  Each row takes the same matrix-vector and dot
     products as a batch of one, so a row's value does not depend on b."""
-    rows = _kernel_rows_raw(choice, mu_w, g_v, m_r)
+    rows = _kernel_rows_raw(transport, mu_w, g_v, m_r)
     k1 = (rows @ v1[:, :, None])[:, :, 0]
     k2 = k1 if v2 is v1 else (rows @ v2[:, :, None])[:, :, 0]
     k12 = (rows @ (v1 * v2)[:, :, None])[:, :, 0]
@@ -606,7 +611,7 @@ def kernel_row(
     d = _check_same_d(mu.d, G.d, M.d)
     if not 0 <= x < d:
         raise DimensionMismatch(f"state index {x} out of range for d={d}")
-    return ProbMeasure(_kernel_rows_raw(choice, mu.weights, G.values, M.rows)[x])
+    return ProbMeasure(_kernel_rows_raw(_transport(choice), mu.weights, G.values, M.rows)[x])
 
 
 def cov_operator(
@@ -626,8 +631,8 @@ def cov_operator(
     v1 = as_values(f1)
     v2 = as_values(f2)
     _check_same_d(mu.d, G.d, M.d, v1.size, v2.size)
-    (value,) = _cov_raw(choice, mu.weights[None], G.values[None], M.rows[None], v1[None], v2[None])
-    return float(value)
+    batch_of_one = (a[None] for a in (mu.weights, G.values, M.rows, v1, v2))
+    return float(_cov_raw(_transport(choice), *batch_of_one)[0])
 
 
 def dobrushin(P: StochasticKernel) -> float:

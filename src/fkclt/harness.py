@@ -9,7 +9,8 @@ bias-variance relation the estimator's unbiasedness forces.
 
 Replicates run in chunks, in this process with one thread and on a process
 pool otherwise.  Replicate i draws from the seed derived from the master
-seed and i, so the chunk layout cannot change any result.
+seed and i, so the chunk layout cannot change any result.  Every replicate
+is normalized by the exact log gamma_n of the model it runs on.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -99,12 +100,10 @@ def _run_replicates(payload) -> list:
     ]
 
 
-def replicate_experiment(
-    config: ExperimentConfig,
-    oracle_log_gamma: Optional[float] = None,
-    threads: int = 1,
-) -> list:
-    """Run R independent replicates with seeds derived from the master seed.
+def replicate_experiment(config: ExperimentConfig, threads: int = 1) -> list:
+    """Run R independent replicates with seeds derived from the master seed,
+    each normalized by the exact log gamma_n of the model, the last entry of
+    ``propagate(model, n).log_gammas``.
 
     The replicates are dealt into min(R, 4 threads) chunks.  With one thread
     the chunks run in this process; otherwise on a pool of min(threads,
@@ -114,8 +113,7 @@ def replicate_experiment(
     """
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
-    if oracle_log_gamma is None:
-        oracle_log_gamma = propagate(config.model, config.n).log_gammas[-1]
+    oracle_log_gamma = propagate(config.model, config.n).log_gammas[-1]
     indices = range(config.replicates)
     chunk_count = min(config.replicates, threads * 4)
     payloads = [(config, oracle_log_gamma, indices[c::chunk_count]) for c in range(chunk_count)]
@@ -267,14 +265,13 @@ def fixed_n_clt_check(
         if N < 100:
             raise ValueError(f"each N must be >= 100, got {N}")
     target = v_n(model, choice, n)
-    oracle_log_gamma = propagate(model, n).log_gammas[-1]
     rows = []
     for j, N in enumerate(N_list):
         config = ExperimentConfig(
             model=model, choice=choice, n=n, N=N,
             replicates=replicates, master_seed=derive_seed(seed, j),
         )
-        records = replicate_experiment(config, oracle_log_gamma=oracle_log_gamma, threads=threads)
+        records = replicate_experiment(config, threads=threads)
         samples = np.array([math.sqrt(N) * (r.gamma_bar - 1.0) for r in records])
         variance = float(samples.var(ddof=1))
         half = 1.96 * variance * math.sqrt(2.0 / (replicates - 1))

@@ -10,9 +10,10 @@ PCG64 stream ahead to its own uniforms, so every chain reads the same
 uniforms for any chunk layout, and memory is O(``SURVIVAL_CHUNK``) whatever
 the number of trials.
 
-``hmm_env_chain`` hands the HMM to the random-environment layer as the
-Markov chain of (hidden state, symbol) pairs, whose symbols have the exact
-law of the observations.
+``hmm_build`` shares one ``FKStep``, and so its sampling tables, among the
+positions of each observed symbol.  ``hmm_env_chain`` hands the HMM to the
+random-environment layer as the Markov chain of (hidden state, symbol)
+pairs, whose symbols have the exact law of the observations.
 """
 
 from __future__ import annotations
@@ -172,19 +173,20 @@ def hmm_build(params: HmmParams, observations: Sequence[int]) -> FKModel:
 
     Every emission likelihood along the sequence must be strictly positive;
     a symbol with a zero likelihood under some hidden state breaks the
-    positive-potential requirement and is rejected.
+    positive-potential requirement and is rejected at its first position.
     """
-    obs = _indices(observations, "observation symbol", params.symbol_count)
-    steps = []
+    obs = _indices(observations, "observation symbol", params.symbol_count).tolist()
+    steps = {}
     for t, y in enumerate(obs):
-        column = params.emission[:, y]
-        if column.min() <= 0.0:
-            raise InvalidModel(
-                f"emission likelihood of symbol {int(y)} at position {t} vanishes "
-                "for some hidden state"
-            )
-        steps.append(FKStep(Potential(column), params.transition))
-    return explicit_model(steps, params.initial)
+        if y not in steps:
+            column = params.emission[:, y]
+            if column.min() <= 0.0:
+                raise InvalidModel(
+                    f"emission likelihood of symbol {y} at position {t} vanishes "
+                    "for some hidden state"
+                )
+            steps[y] = FKStep(Potential(column), params.transition)
+    return explicit_model([steps[y] for y in obs], params.initial)
 
 
 def _forward(params: HmmParams, observations: Sequence[int]) -> tuple:

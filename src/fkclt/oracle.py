@@ -11,7 +11,8 @@ routine, ``_stack``, reads a model's steps over a horizon: it returns the
 potentials (k, d) and kernels (k, d, d) of a run of steps, and the flow and
 the semigroup family work on those arrays (the homogeneous spectral
 routines read the one step they need).  ``_measure_flow`` runs the measure
-recursion on them and checks the whole flow once at its end.
+recursion on them, each step normalized by ``core._normalized`` as a
+``ProbMeasure`` is, and checks the whole flow once at its end.
 
 A model keeps the longest flow computed on it (never pickled), with the
 step stack it ran on, and ``_kept_flow`` is the one reader of that memo: a
@@ -26,6 +27,7 @@ the array directly, and ``v_n`` reads its steps from the kept stack.
 each take ``Q_{p,n}`` from one call of it.  ``v_n`` keeps its sequential
 backward sweep and evaluates all of its covariance terms in one batched
 call of ``core._cov_raw``, the routine behind ``cov_operator``.
+``oracle_report`` is the one place that derives a series depth.
 """
 
 from __future__ import annotations
@@ -55,6 +57,7 @@ from .core import (
     total_variation,
     _check_same_d,
     _cov_raw,
+    _normalized,
     _phi_raw,
     _transport,
 )
@@ -125,7 +128,7 @@ def _measure_flow(eta0: np.ndarray, G: np.ndarray, M: np.ndarray) -> tuple:
     Returns the flow weights as one (n+1, d) array, and the n+1 log
     normalizing constants and the n potential means as lists of floats.
     Each step is the arithmetic of ``phi_step``: Boltzmann-Gibbs
-    reweighting, the kernel, a clip at 0 and a division by the sum.  Besides
+    reweighting, the kernel and ``core._normalized``.  Besides
     the product of the potential means, the log normalizing constants are
     recomputed through the unnormalized linear recursion
     ``gamma_{p+1} = (gamma_p . G_p) M_{p+1}``, and the two routes must agree
@@ -149,8 +152,7 @@ def _measure_flow(eta0: np.ndarray, G: np.ndarray, M: np.ndarray) -> tuple:
                 f"linear-route total {float(total)!r}"
             )
         log_gammas.append(log_gammas[p] + math.log(means[p]))
-        w = np.maximum(_phi_raw(eta, g, m), 0.0)  # the clip at 0 of a ProbMeasure
-        etas[p + 1] = eta = w / w.sum()
+        etas[p + 1] = eta = _normalized(_phi_raw(eta, g, m))
         gshift += math.log(total)
         gvec = gvec / total
         if abs(gshift - log_gammas[p + 1]) > 1e-10 * max(1.0, abs(log_gammas[p + 1])):
@@ -333,7 +335,7 @@ def v_n(model: FKModel, choice: KernelChoice, n: int) -> float:
     """
     if n < 0:
         raise ValueError(f"step count must be >= 0, got {n}")
-    _transport(choice)
+    transport = _transport(choice)
     if n == 0:
         return 0.0
     etas, _, _, G, M = _kept_flow(model, n)
@@ -349,7 +351,7 @@ def v_n(model: FKModel, choice: KernelChoice, n: int) -> float:
     terms = [float(etas[0] @ (centered0 * centered0))]
     if n > 1:  # term q >= 1: the covariance under step q-1 of the column at q
         cols = ubars[1:]
-        terms += _cov_raw(choice, etas[: n - 1], G[: n - 1], M[: n - 1], cols, cols).tolist()
+        terms += _cov_raw(transport, etas[: n - 1], G[: n - 1], M[: n - 1], cols, cols).tolist()
     total = _kahan_sum(terms)
     if not math.isfinite(total):
         raise InvalidModel(
@@ -488,25 +490,21 @@ def qbar_p_inf(model: FKModel, p: int, depth: int) -> FunctionVector:
     ``Q_q(1) = G_q``, that is ``qbar_pn_one`` at ``n = p + depth``; it is the
     exponential of the log series whose lag-``q`` term compares the
     potential means of the flows started at each point mass and at
-    ``eta_p``.  ``oracle_report`` derives a default depth from the fitted
-    contraction rate.
+    ``eta_p``.
     """
     if depth < 1:
         raise ValueError(f"series depth must be >= 1, got {depth}")
     return qbar_pn_one(model, p, p + depth)
 
 
-def oracle_report(
-    model: FKModel,
-    n: int,
-    choice: KernelChoice,
-    series_depth: Optional[int] = None,
-) -> dict:
+def oracle_report(model: FKModel, n: int, choice: KernelChoice) -> dict:
     """Assemble the JSON-ready oracle record for a model.
 
     Always contains the measure flow and log normalizing constants; for
-    homogeneous models it adds the spectral pair, the variance-rate table
-    and the contraction diagnostics.
+    homogeneous models it adds the spectral pair, the variance-rate table,
+    the contraction diagnostics and ``qbar_limit``: ``qbar_p_inf`` at p = 0,
+    truncated at ``default_series_depth`` of the fitted ``lambda_hat``, or
+    None when ``lambda_hat`` is not positive.
     """
     _transport(choice)
     sol = propagate(model, n)
@@ -520,9 +518,7 @@ def oracle_report(
     if model.homogeneous:
         pair = spectral_pair(model, choice)
         bounds = contraction_profile(model)
-        depth = series_depth
-        if depth is None and bounds.lambda_hat > 0.0:
-            depth = default_series_depth(bounds.lambda_hat)
+        depth = default_series_depth(bounds.lambda_hat) if bounds.lambda_hat > 0.0 else None
         report.update(
             {
                 "zeta": pair.zeta,

@@ -279,7 +279,7 @@ def h_env(chain: EnvironmentChain, y: EnvPath, position: int, depth: int) -> Fun
 
 def _contributions(
     chain: EnvironmentChain,
-    choice: KernelChoice,
+    transport: bool,
     y: EnvPath,
     first: int,
     last: int,
@@ -296,7 +296,7 @@ def _contributions(
     routine: the b+D windows from ``first`` on, or, for a block shorter than
     D, the 2b that serve a position.  Every window takes the arithmetic of a
     batch of one, so a position's value does not depend on the block around
-    it.  No value is checked here."""
+    it.  The kernel is ``core._cov_raw``'s bool; no value is checked here."""
     b = last - first + 1
     states = y.window(first - 1 - depth, last + depth - 1)
     factors = chain.factors(states)  # factor j is Q_{first-1-D+j}
@@ -312,7 +312,7 @@ def _contributions(
     h = _limit_function(tail, chain._G[states[2 * depth :]], eta)
     G = chain._G[states[depth : depth + b]]
     M = chain._M[states[depth + 1 : depth + 1 + b]]
-    return _cov_raw(choice, mu, G, M, h, h)
+    return _cov_raw(transport, mu, G, M, h, h)
 
 
 def _block_size(d: int, depth: int) -> int:
@@ -369,8 +369,7 @@ def c_of_y(
     if kept is not None and kept[0] is chain and kept[1] is choice and kept[2] == depth:
         value = kept[3][position - 1]  # a float kept under a choice sigma2_env checked
     else:
-        _transport(choice)
-        value = float(_contributions(chain, choice, y, position, position, depth)[0])
+        value = float(_contributions(chain, _transport(choice), y, position, position, depth)[0])
     if not math.isfinite(value):
         raise InvalidModel(f"variance contribution at position {position} is {value!r}")
     return value
@@ -400,12 +399,12 @@ def sigma2_env(
         raise ValueError(f"horizon must be >= 100, got {horizon}")
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
-    _transport(choice)
+    transport = _transport(choice)
     path = sample_env_path(chain, past=depth, horizon=horizon + depth - 1, seed=seed)
     size = _block_size(chain.state_dim, depth)
     with np.errstate(all="ignore"):
         kept = np.concatenate([
-            _contributions(chain, choice, path, first, min(first + size - 1, horizon), depth)
+            _contributions(chain, transport, path, first, min(first + size - 1, horizon), depth)
             for first in range(1, horizon + 1, size)
         ])
     object.__setattr__(path, "_kept", (chain, choice, depth, kept.tolist()))

@@ -197,7 +197,7 @@ def test_criterion_09_filtering_dual_oracle(hmm_params):
     config = ExperimentConfig(
         model=model, choice=MULTI, n=200, N=1000, replicates=500, master_seed=SEED_HMM_RUNS
     )
-    records = replicate_experiment(config, oracle_log_gamma=recursion)
+    records = replicate_experiment(config)
     z, ok = fk.unbiasedness_check([r.gamma_bar for r in records])
     assert ok
     elapsed = time.perf_counter() - start

@@ -74,7 +74,7 @@ HMM = {
 # Every numeric option of each subcommand: (a valid value, a value just below
 # its minimum).
 PARSE_OPTIONS = {
-    "oracle": {"--n": ("2", "0"), "--depth": ("5", "0"), "--threads": ("1", "0")},
+    "oracle": {"--n": ("2", "0"), "--threads": ("1", "0")},
     "run": {"--n": ("0", "-1"), "--N": ("8", "0"), "--threads": ("1", "0")},
     "clt": {
         "--n": ("4", "0"), "--N": ("8", "0"), "--reps": ("35", "34"),
@@ -114,6 +114,8 @@ class TestParseErrors:
         cfg = model_file(TWO_STATE)
         assert main(["oracle", "--config", cfg, "--n", "2", "--kernel", "bogus"]) == 2
         assert main(["oracle", "--config", cfg, "--n", "2", "--kernel", "MULTINOMIAL"]) == 2
+        # The report derives its series depth; no option sets it.
+        assert main(["oracle", "--config", cfg, "--n", "2", "--depth", "5"]) == 2
         assert main(["no-such-command"]) == 2
 
     @pytest.mark.parametrize(

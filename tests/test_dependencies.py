@@ -2,7 +2,8 @@
 and the other test tools stay out of ``src/fkclt``.  Of numpy it uses only
 the public modules: the private ones (``numpy._core``, ``numpy.core``,
 ``numpy.lib._*``) move between releases.  Only ``core`` builds cumulative
-sums, so the threshold layout the sampler reads stays in one module.  The
+sums, so the threshold layout the sampler reads stays in one module.  No
+``*_raw`` routine parses a kernel choice: its public caller does.  The
 reference kit ``tests/refkit.py`` imports only the standard library and
 numpy, never fkclt, so no fault in the package reaches the values the
 exact tests expect.  The suite imports only what ``pyproject.toml``
@@ -136,6 +137,46 @@ def test_the_guard_sees_a_cumsum_call(tmp_path):
         "e = np.sum(a)\n"
     )
     assert cumsum_calls(module) == [3, 4, 5, 6]
+
+
+def raw_breaches(path: pathlib.Path) -> list:
+    """Lines where a function named ``*_raw`` takes a parameter named
+    ``choice`` or calls ``_transport``: the raw routines take the kernel as
+    the bool that their public callers parsed."""
+    lines = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if not (isinstance(node, ast.FunctionDef) and node.name.endswith("_raw")):
+            continue
+        args = node.args
+        if "choice" in {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}:
+            lines.append(node.lineno)
+        lines += [
+            call.lineno
+            for call in ast.walk(node)
+            if isinstance(call, ast.Call)
+            and "_transport" in {getattr(call.func, "attr", None), getattr(call.func, "id", None)}
+        ]
+    return sorted(lines)
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_raw_routines_take_the_parsed_kernel(path):
+    assert not raw_breaches(path), raw_breaches(path)
+
+
+def test_the_guard_sees_a_raw_routine_parse_the_choice(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text(
+        "def _rows_raw(choice, mu):\n"
+        "    return mu\n"
+        "def _cov_raw(transport, mu):\n"
+        "    return core._transport(transport)\n"
+        "def _bg_raw(mu, *, choice=None):\n"
+        "    return _transport(choice)\n"
+        "def cov_operator(choice, mu):\n"
+        "    return _cov_raw(_transport(choice), mu)\n"
+    )
+    assert raw_breaches(module) == [1, 4, 5, 6]
 
 
 IMPORT_CALLS = {"__import__", "import_module"}

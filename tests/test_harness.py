@@ -26,6 +26,8 @@ from fkclt.harness import (
     unbiasedness_check,
 )
 
+from conftest import model_kinds
+
 MULTI = fk.KernelChoice.MULTINOMIAL
 KERNELS = list(fk.KernelChoice)
 
@@ -224,6 +226,18 @@ class TestReplicateExperiment:
             assert [r.log_gamma_bar for r in pooled] == [r.log_gamma_bar for r in serial]
         # Two replicates make two chunks; otherwise the 4 CPUs bound the pool.
         assert widths == [2, 4, 3]
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_every_record_is_normalized_by_the_exact_gamma(self, threads):
+        # One normalizer: the last log gamma of the exact flow of the model
+        # the replicates run on, for every model kind and pool width.
+        for kind, model in model_kinds(951, 3, 12, 13).items():
+            config = ExperimentConfig(
+                model=model, choice=MULTI, n=12, N=16, replicates=8, master_seed=5
+            )
+            exact = fk.propagate(model, 12).log_gammas[-1]
+            for record in replicate_experiment(config, threads=threads):
+                assert record.log_gamma_bar == record.log_gamma_N - exact, kind
 
     def test_config_validation(self, two_state):
         with pytest.raises(ValueError):

@@ -15,6 +15,7 @@ from fkclt.models import SURVIVAL_CHUNK, hmm_env_chain, hmm_filter
 from fkclt.randenv import EnvPath, eta_inf_env
 
 from conftest import uniforms
+from test_oracle import solution_bits
 
 MULTI = fk.KernelChoice.MULTINOMIAL
 
@@ -196,8 +197,47 @@ class TestHmmBuild:
             emission=np.array([[1.0, 0.0], [0.3, 0.7]]),
             initial=hmm_params.initial,
         )
-        with pytest.raises(InvalidModel):
+        with pytest.raises(InvalidModel, match="symbol 1 at position 1 vanishes"):
             fk.hmm_build(params, [0, 1, 0])
+
+    def test_names_the_first_position_of_a_vanishing_symbol(self, hmm_params):
+        params = fk.HmmParams(
+            transition=hmm_params.transition,
+            emission=np.array([[0.5, 0.5, 0.0], [0.2, 0.3, 0.5]]),
+            initial=hmm_params.initial,
+        )
+        with pytest.raises(InvalidModel, match="symbol 2 at position 3 vanishes"):
+            fk.hmm_build(params, [0, 1, 0, 2, 1, 2])
+
+    def test_one_step_per_symbol(self, hmm_params):
+        _, obs = fk.hmm_generate(hmm_params, 40, seed=31)
+        model = fk.hmm_build(hmm_params, obs)
+        by_symbol = {int(y): model.step(t) for t, y in enumerate(obs)}
+        assert len(by_symbol) == 2
+        for t, y in enumerate(obs):
+            assert model.step(t) is by_symbol[int(y)]
+
+    def test_shared_steps_keep_every_bit(self, hmm_params):
+        # The shared steps give the bits of a model built with one step per
+        # position: the exact flow, and 50 replicates under each kernel.
+        _, obs = fk.hmm_generate(hmm_params, 40, seed=31)
+        shared = fk.hmm_build(hmm_params, obs)
+        per_position = fk.explicit_model(
+            [fk.FKStep(fk.Potential(hmm_params.emission[:, y]), hmm_params.transition)
+             for y in obs],
+            hmm_params.initial,
+        )
+        flows = [fk.propagate(model, 40) for model in (shared, per_position)]
+        assert solution_bits(flows[0]) == solution_bits(flows[1])
+        for choice in fk.KernelChoice:
+            runs = []
+            for model in (shared, per_position):
+                config = fk.ExperimentConfig(model, choice, 40, 64, replicates=50, master_seed=9)
+                runs.append([
+                    (r.seed, r.replicate_id, r.log_gamma_N.hex(), r.log_gamma_bar.hex())
+                    for r in fk.replicate_experiment(config)
+                ])
+            assert runs[0] == runs[1]
 
     def test_rejects_out_of_range_symbol(self, hmm_params):
         with pytest.raises(InvalidModel):

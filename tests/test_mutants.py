@@ -84,11 +84,11 @@ def thresholds_one_state_late(laws):
     return table
 
 
-def eta_for_phi_rows(choice, mu_w, g_v, m_r):
+def eta_for_phi_rows(transport, mu_w, g_v, m_r):
     """``core._kernel_rows_raw`` with the empirical measure eta in place of
     Phi(eta): no selection and no mutation in what a particle resamples."""
     rows = np.repeat(mu_w[None, :], mu_w.size, axis=0)
-    if choice is TRANS:
+    if transport:
         rows = g_v[:, None] * m_r + (1.0 - g_v)[:, None] * rows
     return rows
 
@@ -108,7 +108,8 @@ def v_n_column_one_early(model, choice, n):
     terms = [float(etas[0] @ (ubars[0] - 1.0) ** 2)]
     if n > 1:
         cols = ubars[:-1]
-        terms += _cov_raw(choice, etas[: n - 1], G[: n - 1], M[: n - 1], cols, cols).tolist()
+        transport = choice is TRANS
+        terms += _cov_raw(transport, etas[: n - 1], G[: n - 1], M[: n - 1], cols, cols).tolist()
     return max(_kahan_sum(terms), 0.0)
 
 
@@ -121,10 +122,9 @@ def kernel_swap(step):
     return swapped
 
 
-def cov_kernel_swap(choice, mu_w, g_v, m_r, v1, v2):
+def cov_kernel_swap(transport, mu_w, g_v, m_r, v1, v2):
     """``core._cov_raw`` evaluated under the other kernel."""
-    other = TRANS if choice is MULTI else MULTI
-    return _cov_raw(other, mu_w, g_v, m_r, v1, v2)
+    return _cov_raw(not transport, mu_w, g_v, m_r, v1, v2)
 
 
 def approximate_hmm_env_chain(params):
@@ -175,7 +175,7 @@ def reversed_pair_products(stack):
     return stack[:, 0]
 
 
-def late_measure_contributions(chain, choice, y, first, last, depth):
+def late_measure_contributions(chain, transport, y, first, last, depth):
     """``randenv._contributions`` taking the backward limit at p as the
     covariance measure, where the one at p - 1 belongs."""
     b = last - first + 1
@@ -190,7 +190,7 @@ def late_measure_contributions(chain, choice, y, first, last, depth):
     h = fkclt.oracle._limit_function(tail, chain._G[states[2 * depth :]], eta)
     G = chain._G[states[depth : depth + b]]
     M = chain._M[states[depth + 1 : depth + 1 + b]]
-    return _cov_raw(choice, eta, G, M, h, h)
+    return _cov_raw(transport, eta, G, M, h, h)
 
 
 def next_count_p(name, choice):

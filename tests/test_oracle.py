@@ -53,6 +53,24 @@ class TestPropagate:
             inc = sol.log_gammas[p + 1] - sol.log_gammas[p]
             assert abs(inc - math.log(sol.potential_means[p])) <= 1e-12
 
+    @pytest.mark.parametrize("d", [1, 2, 3, 5, 8])
+    def test_flow_rows_are_phi_steps_bit_for_bit(self, d):
+        # The flow and every ProbMeasure end a step with one clip and one
+        # divide, so the kept flow is phi_step applied row by row.  The
+        # sparse model's flow spreads from a point mass one state per step,
+        # so its rows hold zeros for a clip to act on.
+        sparse = fk.homogeneous_model(
+            fk.StochasticKernel(0.5 * (np.eye(d) + np.roll(np.eye(d), 1, axis=1))),
+            fk.Potential(np.geomspace(1.0, 1e-3, d)),
+            fk.ProbMeasure.point(d, 0),
+        )
+        for kind, model in {**model_kinds(960 + d, d, 30, 31), "sparse": sparse}.items():
+            etas = fk.propagate(model, 30).etas
+            for p in range(30):
+                step = model.step(p)
+                want = fk.phi_step(etas[p], step.G, step.M).weights
+                assert etas[p + 1].weights.tobytes() == want.tobytes(), (kind, p)
+
     def test_multiplicative_consistency_random_models(self):
         # gamma_n(1) = eta_0(Q_0 ... Q_{n-1} 1), the unscaled matrix product
         # applied backward by the kit.

@@ -339,7 +339,8 @@ def one_position_c(chain, choice, y, position, depth):
     h = _limit_function(tail, chain._G[states[-1]], _flow(shared @ factors[1, 0]))
     G = chain._G[states[depth]]
     M = chain._M[states[depth + 1]]
-    (value,) = _cov_raw(choice, mu[None], G[None], M[None], h[None], h[None])
+    transport = choice is fk.KernelChoice.TRANSPORT
+    (value,) = _cov_raw(transport, mu[None], G[None], M[None], h[None], h[None])
     return float(value)
 
 
@@ -515,9 +516,9 @@ class TestReadAhead:
         calls, reads = [], []
         inner, read = randenv._contributions, randenv.c_of_y
 
-        def counted(chain, choice, y, first, last, depth):
+        def counted(chain, transport, y, first, last, depth):
             calls.append((first, last))
-            return inner(chain, choice, y, first, last, depth)
+            return inner(chain, transport, y, first, last, depth)
 
         def counted_read(*args):
             reads.append(args[3])
@@ -554,10 +555,11 @@ class TestReadAhead:
         horizon = max(100, min(size + size // 2 + 1, 600))
         path = fk.sample_env_path(chain, past=depth + 1, horizon=depth + size, seed=d)
         for choice in fk.KernelChoice:
-            randenv._contributions(chain, choice, path, 1, size, depth)  # warm
+            transport = choice is fk.KernelChoice.TRANSPORT
+            randenv._contributions(chain, transport, path, 1, size, depth)  # warm
             tracemalloc.start()
             try:
-                randenv._contributions(chain, choice, path, 1, size, depth)
+                randenv._contributions(chain, transport, path, 1, size, depth)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -582,9 +584,9 @@ class TestReadAhead:
         calls = []
         inner = randenv._contributions
 
-        def counted(chain, choice, y, first, last, depth):
+        def counted(chain, transport, y, first, last, depth):
             calls.append(last - first + 1)
-            return inner(chain, choice, y, first, last, depth)
+            return inner(chain, transport, y, first, last, depth)
 
         monkeypatch.setattr(randenv, "_contributions", counted)
         for b in sorted(sizes):
